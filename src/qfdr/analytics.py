@@ -14,13 +14,14 @@ N -> inf.  Incoherent ramps produce a correction that decays as 1/N^2 at
 fixed endpoints, and readout errors alone produce a spurious correction that
 grows linearly in N.  All three scalings are exposed here, together with the
 (inverse speed, rescaled correction) sweep that maps out the region
-attainable by incoherent protocols.
+attainable by incoherent protocols.  Both incoherent paths share one
+vectorised closed form for the work cumulants, ``incoherent_cumulants``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .protocol import (
     INCOHERENT,
     ProtocolSpec,
     SpamModel,
-    incoherent_step_distribution,
 )
 from .qubit import ThermalSpec
 
@@ -173,26 +173,47 @@ def coherent_asymptote(beta: float) -> float:
     return (math.pi**2 / 16.0) * (beta / 2.0 - math.tanh(beta / 2.0)) / COHERENT_NORM_DH
 
 
+def incoherent_cumulants(
+    beta: float, omega_start: float, omega_end: float | np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of the total work of an N-quench incoherent ramp.
+
+    With delta = (omega_end - omega_start) / N and the excited occupation
+    f_j = 1 / (1 + exp(beta omega_j)) at gap omega_j = omega_start + j delta
+    (beta omega_j capped at 700),
+
+        <W> = sum_j delta (f_j - 1/2),   Var(W) = sum_j delta^2 f_j (1 - f_j),
+
+    elementwise over an array ``omega_end``.  numpy sums the steps in order
+    for two or more entries, so an entry does not depend on its neighbours,
+    but pairwise for one: scalar and array calls agree to rounding only.
+    """
+    omega_end = np.asarray(omega_end, dtype=np.float64)
+    delta = (omega_end - omega_start) / n
+    gaps = omega_start + np.multiply.outer(np.arange(n), delta)
+    occupied = 1.0 / (1.0 + np.exp(np.minimum(beta * gaps, 700.0)))
+    mean = np.sum(delta * (occupied - 0.5), axis=0)
+    var = np.sum(delta**2 * occupied * (1.0 - occupied), axis=0)
+    return mean, var
+
+
 def incoherent_correction(spec: ProtocolSpec) -> FdrEstimate:
     """Correction of an incoherent ramp from the exact per-step moments.
 
     The steps are independent quenches from equilibrium, so the total mean
-    and variance are sums of the per-step table moments.  At fixed endpoints
-    the rescaled value decays as 1/N.  Note the sign: gap-decreasing ramps
-    can push the correction below zero, unlike the coherent case.
+    and variance are sums of per-step moments, from the kernel the region
+    sweep shares.  At fixed endpoints the rescaled value decays as 1/N.
+    Note the sign: gap-decreasing ramps can push the correction below zero,
+    unlike the coherent case.
     """
     if spec.kind != INCOHERENT:
         raise ValueError("incoherent_correction requires an incoherent spec")
-    mean = 0.0
-    var = 0.0
-    for j in range(spec.n_steps):
-        dist = incoherent_step_distribution(spec, j)
-        mean += dist.mean()
-        var += dist.variance()
+    beta = spec.thermal.beta
+    mean, var = incoherent_cumulants(beta, spec.omega_start, spec.omega_end, spec.n_steps)
     return make_estimate(
-        mean_work=mean,
-        var_work=var,
-        beta=spec.thermal.beta,
+        mean_work=float(mean),
+        var_work=float(var),
+        beta=beta,
         delta_f=delta_free_energy(spec),
         n_steps=spec.n_steps,
         norm_dh=spec.norm_dh,
@@ -249,30 +270,30 @@ def temperature_profile(n_steps: int, betas: list[float]) -> list[FdrEstimate]:
 
 @dataclass
 class SweepResult:
-    """Incoherent-protocol sweep: raw points and the per-bin upper boundary."""
+    """Incoherent-protocol sweep: raw points and the per-bin upper boundary.
 
-    points: list[SweepPoint]
+    ``points`` is an (M, 2) float64 array of (v^-1, N Q / |dH|) rows, N-major;
+    ``bin_maxima[i]`` is the supremum over the points in bin ``bin_keys[i]``
+    = floor(v^-1 / bin_width), keys ascending.
+    """
+
+    points: np.ndarray
     bin_width: float
-    bin_suprema: dict[int, float] = field(default_factory=dict)
+    bin_keys: np.ndarray
+    bin_maxima: np.ndarray
     skipped: int = 0
 
     def boundary_at(self, inverse_speed: float) -> float:
         """Supremum of the rescaled correction in the bin containing v^-1."""
         key = math.floor(inverse_speed / self.bin_width)
-        if key not in self.bin_suprema:
+        i = int(np.searchsorted(self.bin_keys, key))
+        if i == self.bin_keys.size or self.bin_keys[i] != key:
             raise KeyError(f"no sweep points in the bin around v^-1 = {inverse_speed}")
-        return self.bin_suprema[key]
+        return float(self.bin_maxima[i])
 
-    def boundary_points(self) -> list[SweepPoint]:
-        """Boundary as plottable (bin center, supremum) sweep points."""
-        return [
-            SweepPoint(
-                inverse_speed=(key + 0.5) * self.bin_width,
-                rescaled_q=value,
-                provenance="incoherent_sim",
-            )
-            for key, value in sorted(self.bin_suprema.items())
-        ]
+    def bin_centers(self) -> np.ndarray:
+        """v^-1 at the center of each occupied bin, aligned with ``bin_maxima``."""
+        return (self.bin_keys + 0.5) * self.bin_width
 
 
 def default_omega_grid(omega_start: float = 1.0) -> np.ndarray:
@@ -292,10 +313,10 @@ def incoherent_region_sweep(
     For every (omega_end, N) pair on the grid the ramp starts at the
     experiment's gap ``omega_start`` and the rescaled correction
     N Q / |dH| is recorded at v^-1 = N / |dH| with |dH| = |omega_end -
-    omega_start| / 2.  Degenerate omega_end = omega_start entries carry no
-    Hamiltonian change and are skipped; the count is reported in the result.
-    The per-bin supremum over the grid traces the upper boundary of the
-    attainable region.
+    omega_start| / 2, from ``incoherent_cumulants``.  Degenerate omega_end =
+    omega_start entries carry no Hamiltonian change and are skipped; the
+    count is reported in the result.  The per-bin supremum over the grid
+    traces the upper boundary of the attainable region.
     """
     if omega_f_grid is None:
         omega_f_grid = default_omega_grid(omega_start)
@@ -312,36 +333,29 @@ def incoherent_region_sweep(
     skipped = int(degenerate.sum()) * int(n_grid.size)
     omega_f = omega_f_grid[~degenerate]
 
-    result = SweepResult(points=[], bin_width=bin_width, skipped=skipped)
-    if omega_f.size == 0:
-        return result
+    cumulants = np.array([incoherent_cumulants(beta, omega_start, omega_f, n) for n in n_grid])
+    mean, var = cumulants[:, 0], cumulants[:, 1]
+    if beta > 0.0:
+        delta_f = -(np.logaddexp(beta * omega_f / 2.0, -beta * omega_f / 2.0)
+                    - math.log(2.0) - _log_cosh(beta * omega_start / 2.0)) / beta
+    else:
+        delta_f = np.zeros_like(omega_f)
+    q = beta / 2.0 * var - (mean - delta_f)
+    norm = np.abs(omega_f - omega_start) / 2.0
+    n = n_grid[:, None]
+    v_inv = (n / norm).ravel()
+    rescaled = (n * q / norm).ravel()
 
-    log_cosh_start = _log_cosh(beta * omega_start / 2.0)
-    for n in n_grid:
-        delta = (omega_f - omega_start) / n
-        gaps = omega_start + delta[None, :] * np.arange(n)[:, None]
-        occupied = 1.0 / (1.0 + np.exp(np.minimum(beta * gaps, 700.0)))
-        mean = np.sum(delta[None, :] * (occupied - 0.5), axis=0)
-        var = np.sum(delta[None, :] ** 2 * occupied * (1.0 - occupied), axis=0)
-        if beta > 0.0:
-            delta_f = -(np.logaddexp(beta * omega_f / 2.0, -beta * omega_f / 2.0)
-                        - math.log(2.0) - log_cosh_start) / beta
-        else:
-            delta_f = np.zeros_like(omega_f)
-        q = beta / 2.0 * var - (mean - delta_f)
-        norm = np.abs(omega_f - omega_start) / 2.0
-        v_inv = n / norm
-        rescaled = n * q / norm
-        for vi, qi in zip(v_inv, rescaled):
-            result.points.append(
-                SweepPoint(inverse_speed=float(vi), rescaled_q=float(qi),
-                           provenance="incoherent_sim")
-            )
-            key = math.floor(vi / bin_width)
-            best = result.bin_suprema.get(key)
-            if best is None or qi > best:
-                result.bin_suprema[key] = float(qi)
-    return result
+    keys = np.floor(v_inv / bin_width).astype(np.int64)
+    order = np.argsort(keys)
+    bin_keys, starts = np.unique(keys[order], return_index=True)
+    return SweepResult(
+        points=np.column_stack([v_inv, rescaled]),
+        bin_width=bin_width,
+        bin_keys=bin_keys,
+        bin_maxima=np.maximum.reduceat(rescaled[order], starts),
+        skipped=skipped,
+    )
 
 
 def coherent_theory_curve(beta: float, n_values: np.ndarray) -> list[SweepPoint]:

@@ -189,9 +189,8 @@ def run_sweep(config: RunConfig) -> int:
         rows.append({"provenance": point.provenance, "v_inv": point.inverse_speed,
                      "nq_rescaled": point.rescaled_q})
     sweep = analytics.incoherent_region_sweep(config.beta)
-    for point in sweep.boundary_points():
-        rows.append({"provenance": point.provenance, "v_inv": point.inverse_speed,
-                     "nq_rescaled": point.rescaled_q})
+    for v_inv, value in zip(sweep.bin_centers().tolist(), sweep.bin_maxima.tolist()):
+        rows.append({"provenance": "incoherent_sim", "v_inv": v_inv, "nq_rescaled": value})
     spam = SpamModel(p_bright_given_0=config.spam_bright, p_dark_given_1=config.spam_dark)
     for point in analytics.spam_bound_curve(config.beta, spam, SWEEP_CURVE_N):
         rows.append({"provenance": point.provenance, "v_inv": point.inverse_speed,
@@ -228,21 +227,23 @@ def run_certify(config: RunConfig) -> int:
                 f"note: abscissa {ref.v_inv} is not an integer multiple of sqrt(2); "
                 f"using n_steps={ref.n_steps}"
             )
-        ref_inc = sweep.boundary_at(ref.v_inv)
+        point = analytics.SweepPoint(ref.v_inv, ref.nq_rescaled, "experiment")
         ref_spam = analytics.spam_correction(thermal, spam, ref.n_steps).rescaled
-        delta_inc = (ref.nq_rescaled - ref_inc) / ref.sigma_delta
-        delta_spam = (ref.nq_rescaled - ref_spam) / ref.sigma_delta
-        passed = delta_inc >= config.threshold and delta_spam >= config.threshold
+        to_inc = stats.sigma_distance(point, ref.sigma_delta, sweep.boundary_at(ref.v_inv),
+                                      threshold=config.threshold)
+        to_spam = stats.sigma_distance(point, ref.sigma_delta, ref_spam, "spam_bound",
+                                       config.threshold)
+        passed = to_inc.passed and to_spam.passed
         all_passed &= passed
         rows.append(
             {
                 "v_inv": ref.v_inv,
                 "nq_exp": ref.nq_rescaled,
                 "sigma_stat": ref.sigma_delta,
-                "ref_inc": ref_inc,
-                "delta_inc_sigma": delta_inc,
+                "ref_inc": to_inc.reference_value,
+                "delta_inc_sigma": to_inc.distance_sigma,
                 "ref_spam": ref_spam,
-                "delta_spam_sigma": delta_spam,
+                "delta_spam_sigma": to_spam.distance_sigma,
                 "pass": passed,
             }
         )

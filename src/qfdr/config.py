@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+from .reference import EXPERIMENT_BETA
+
 
 class ConfigError(ValueError):
     """Malformed document, unknown key, or out-of-range value."""
@@ -159,6 +161,9 @@ def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
         _fail("n_steps", f"must be positive integers, got {config.n_steps}", where("n_steps"))
     if config.beta < 0.0:
         _fail("beta", f"must be >= 0, got {config.beta}", where("beta"))
+    if config.command == "certify" and config.beta != EXPERIMENT_BETA:
+        message = f"certify compares against points measured at beta = {EXPERIMENT_BETA}"
+        _fail("beta", f"{message}, got {config.beta}", where("beta"))
     if config.omega_start <= 0.0:
         _fail("omega_start", f"must be > 0, got {config.omega_start}", where("omega_start"))
     if config.omega_end <= 0.0:

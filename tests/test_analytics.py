@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfdr.analytics import (
     FdrEstimate,
@@ -18,6 +20,7 @@ from qfdr.analytics import (
     coherent_theory_curve,
     delta_free_energy,
     incoherent_correction,
+    incoherent_cumulants,
     incoherent_region_sweep,
     quantum_correction,
     spam_bound_curve,
@@ -179,6 +182,62 @@ class TestQuantumCorrection:
             FdrEstimate(0, 0, 0, 0, 0, 0, source="guesswork")
 
 
+# occupation the kernel's beta*omega cap of 700 assigns to every level above
+# it; the step tables cap at 745, so they may put less (down to 0) there
+CAP_OCCUPATION = 1.0 / (1.0 + math.exp(700.0))
+
+beta_values = st.floats(0.0, 10.0)
+omega_end_values = st.floats(0.05, 20.0, exclude_min=True)
+
+
+def step_moment_sums(beta, omega_start, omega_end, n):
+    spec = ProtocolSpec.incoherent(n, ThermalSpec.from_beta(beta), omega_start, omega_end)
+    tables = [incoherent_step_distribution(spec, j) for j in range(n)]
+    return sum(t.mean() for t in tables), sum(t.variance() for t in tables)
+
+
+class TestIncoherentCumulants:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        beta=beta_values,
+        omega_start=st.sampled_from([1.0, 80.0]),
+        omega_end=omega_end_values,
+        n=st.integers(1, 300),
+    )
+    @example(beta=3.413, omega_start=1.0, omega_end=1.0, n=6)
+    @example(beta=0.0, omega_start=1.0, omega_end=19.39, n=26)
+    @example(beta=10.0, omega_start=80.0, omega_end=20.0, n=300)
+    def test_equals_step_moment_sums(self, beta, omega_start, omega_end, n):
+        """Sums of the per-step table moments, including delta = 0, beta = 0
+        and beta*omega above the 700 cap (omega_start = 80)."""
+        mean, var = incoherent_cumulants(beta, omega_start, omega_end, n)
+        mean_ref, var_ref = step_moment_sums(beta, omega_start, omega_end, n)
+        span = abs(omega_end - omega_start)
+        # f - 1/2 loses absolute precision ~eps when beta*omega is tiny
+        assert math.isclose(mean, mean_ref, rel_tol=1e-12, abs_tol=4e-16 * span)
+        cap_slack = span**2 / n * CAP_OCCUPATION
+        assert math.isclose(var, var_ref, rel_tol=1e-12, abs_tol=cap_slack)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        beta=beta_values,
+        omega_ends=st.lists(omega_end_values, min_size=2, max_size=6),
+        n=st.integers(1, 300),
+    )
+    def test_array_entries_match_per_element_calls(self, beta, omega_ends, n):
+        """Each entry of an array call is bit-identical to the same entry
+        computed alongside any other; a scalar call sums pairwise and agrees
+        to rounding, at most n ulp of same-signed terms."""
+        mean, var = incoherent_cumulants(beta, 1.0, np.array(omega_ends), n)
+        assert mean.shape == var.shape == (len(omega_ends),)
+        for i, omega_end in enumerate(omega_ends):
+            pair_mean, pair_var = incoherent_cumulants(beta, 1.0, np.array([omega_end] * 2), n)
+            assert mean[i] == pair_mean[0] and var[i] == pair_var[0]
+            scalar_mean, scalar_var = incoherent_cumulants(beta, 1.0, omega_end, n)
+            assert math.isclose(scalar_mean, mean[i], rel_tol=1e-13)
+            assert math.isclose(scalar_var, var[i], rel_tol=1e-13)
+
+
 class TestIncoherentCorrection:
     def test_degenerate_ramp_is_zero(self):
         estimate = incoherent_correction(ProtocolSpec.incoherent(6, EXPERIMENT, 1.0, 1.0))
@@ -329,8 +388,9 @@ class TestIncoherentRegionSweep:
         result = incoherent_region_sweep(
             3.413, omega_f_grid=np.array([1.0]), n_grid=np.arange(1, 6)
         )
-        assert result.points == []
+        assert result.points.shape == (0, 2)
         assert result.skipped == 5
+        assert len(result.points) + result.skipped == 5
 
     def test_boundary_anchor_at_experiment_bin(self):
         """The attainable incoherent region stays far below the first measured
@@ -343,14 +403,15 @@ class TestIncoherentRegionSweep:
     def test_gap_increasing_points_are_non_negative(self):
         grid = np.geomspace(1.01, 20.0, 50)
         result = incoherent_region_sweep(3.413, omega_f_grid=grid, n_grid=np.arange(1, 30))
-        assert min(p.rescaled_q for p in result.points) >= -1e-9
+        assert result.points.dtype == np.float64 and result.points.shape == (50 * 29, 2)
+        assert result.points[:, 1].min() >= -1e-9
 
     def test_full_grid_contains_negative_points(self):
         # gap-decreasing members of the default grid dip below zero; in the
         # certification bins the boundary comes from gap-increasing ramps
         # and stays positive
         result = incoherent_region_sweep(3.413)
-        assert min(p.rescaled_q for p in result.points) < 0.0
+        assert result.points[:, 1].min() < 0.0
         for v_inv in (2.828, 4.243, 5.657, 7.071, 8.845, 9.899):
             assert result.boundary_at(v_inv) > 0.0
 
@@ -358,6 +419,33 @@ class TestIncoherentRegionSweep:
         result = incoherent_region_sweep(3.413)
         for v_inv in (2.828, 4.243, 5.657, 7.071, 8.845, 9.899):
             assert result.boundary_at(v_inv) > 0.0
+
+    @pytest.mark.parametrize(
+        "beta, omega_f_grid, n_grid",
+        [
+            (3.413, np.array([0.5, 1.0, 2.0, 3.0]), np.arange(1, 30)),
+            (3.413, np.geomspace(0.05, 20.0, 50), np.array([7])),
+            (1.0, np.linspace(0.1, 0.9, 17), np.arange(1, 40)),
+            (0.0, np.array([0.3, 1.0, 4.0]), np.array([3, 1, 12])),
+            (3.413, None, None),
+        ],
+    )
+    def test_bin_maxima_equal_brute_force_max(self, beta, omega_f_grid, n_grid):
+        result = incoherent_region_sweep(beta, omega_f_grid=omega_f_grid, n_grid=n_grid)
+        omega_size = 200 if omega_f_grid is None else omega_f_grid.size
+        n_size = 200 if n_grid is None else n_grid.size
+        assert len(result.points) + result.skipped == omega_size * n_size
+        best = {}
+        for v_inv, value in result.points.tolist():
+            key = math.floor(v_inv / result.bin_width)
+            if key not in best or value > best[key]:
+                best[key] = value
+        keys = sorted(best)
+        assert result.bin_keys.tolist() == keys
+        assert result.bin_maxima.tolist() == [best[k] for k in keys]
+        assert result.bin_centers().tolist() == [(k + 0.5) * result.bin_width for k in keys]
+        for key in keys:
+            assert result.boundary_at((key + 0.5) * result.bin_width) == best[key]
 
     def test_missing_bin_raises(self):
         result = incoherent_region_sweep(

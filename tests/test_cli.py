@@ -167,6 +167,16 @@ class TestCertifyCommand:
             assert float(row["delta_spam_sigma"]) >= 12.0
             assert row["pass"] == "true"
 
+    def test_foreign_beta_rejected_with_exit_2(self, tmp_path, capsys):
+        """The bundled points were measured at beta = 3.413; certifying them
+        against boundaries at another temperature is refused."""
+        out = tmp_path / "certify.csv"
+        assert main(["certify", "--beta", "1", "--output", str(out)]) == 2
+        assert "beta = 3.413" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["certify", "--output", str(out)]) == 0
+        assert main(["certify", "--beta", "3.413", "--output", str(out)]) == 0
+
     def test_unreachable_threshold_fails_with_exit_3(self, tmp_path):
         out = tmp_path / "certify.csv"
         code = main(["certify", "--threshold", "25.0", "--output", str(out)])
