@@ -100,11 +100,6 @@ def make_estimate(
     )
 
 
-def flip_probability(n_steps: int) -> float:
-    """Ideal per-step flip probability of the coherent ramp, sin^2(pi/(4N))."""
-    return math.sin(math.pi / (4.0 * n_steps)) ** 2
-
-
 def coherent_cumulants(spec: ProtocolSpec) -> tuple[float, float]:
     """Mean and variance of the total work of the coherent protocol.
 
@@ -118,7 +113,7 @@ def coherent_cumulants(spec: ProtocolSpec) -> tuple[float, float]:
         raise ValueError("coherent_cumulants requires a coherent spec")
     n = spec.n_steps
     t = 1.0 - 2.0 * spec.thermal.population
-    s = flip_probability(n)
+    s = math.sin(math.pi / (4.0 * n)) ** 2
     return n * t * s, n * s * (1.0 - s * t * t)
 
 

@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from numpy.random import Generator, Philox
 from . import analytics, stats
 from .config import COMMANDS, ConfigError, RunConfig, build_config, parse_document
 from .io import read_csv_table, write_samples, write_table
-from .protocol import COHERENT_NORM_DH, ProtocolSpec, SpamModel, sample_work
+from .protocol import INCOHERENT, ProtocolSpec, SpamModel, sample_work
 from .qubit import ThermalSpec
 from .reference import load_reference_points
 
@@ -58,6 +59,11 @@ CALIBRATE_FIELDS = ["target_theta", "shots", "seed", "true_duration", "fitted_du
 
 SWEEP_CURVE_N = np.arange(1, 101)
 
+FLAG_HELP = {
+    "n_steps": "step count, or comma list for batch jobs",
+    "betas": "comma list of inverse temperatures",
+}
+
 
 class CertificationFailure(Exception):
     pass
@@ -70,29 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", nargs="?", choices=COMMANDS, help="what to run")
     parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--kind", dest="kind")
-    parser.add_argument("--n-steps", dest="n_steps", help="step count, or comma list for batch jobs")
-    parser.add_argument("--beta", dest="beta", type=float)
-    parser.add_argument("--omega-start", dest="omega_start", type=float)
-    parser.add_argument("--omega-end", dest="omega_end", type=float)
-    parser.add_argument("--runs", dest="runs", type=int)
-    parser.add_argument("--resamples", dest="resamples", type=int)
-    parser.add_argument("--seed", dest="seed", type=int)
-    parser.add_argument("--workers", dest="workers", type=int)
-    parser.add_argument("--spam", dest="spam", action=argparse.BooleanOptionalAction)
-    parser.add_argument("--spam-bright", dest="spam_bright", type=float)
-    parser.add_argument("--spam-dark", dest="spam_dark", type=float)
-    parser.add_argument("--threshold", dest="threshold", type=float)
-    parser.add_argument(
-        "--include-experiment",
-        dest="include_experiment",
-        action=argparse.BooleanOptionalAction,
-    )
-    parser.add_argument("--betas", dest="betas", help="comma list of inverse temperatures")
-    parser.add_argument("--target-theta", dest="target_theta", type=float)
-    parser.add_argument("--shots", dest="shots", type=int)
-    parser.add_argument("--output", dest="output")
-    parser.add_argument("--format", dest="format")
+    # one flag per config key, passed on as the string typed, so flags and
+    # file values share one conversion
+    for key in fields(RunConfig)[1:]:  # every key after the positional command
+        action = argparse.BooleanOptionalAction if isinstance(key.default, bool) else None
+        parser.add_argument("--" + key.name.replace("_", "-"), dest=key.name, action=action,
+                            help=FLAG_HELP.get(key.name))
     return parser
 
 
@@ -117,23 +106,15 @@ def _output_path(config: RunConfig, default_name: str) -> Path:
     return base / default_name
 
 
-def _spam_model(config: RunConfig) -> SpamModel | None:
-    if not config.spam:
-        return None
+def _spam_model(config: RunConfig) -> SpamModel:
     return SpamModel(p_bright_given_0=config.spam_bright, p_dark_given_1=config.spam_dark)
 
 
 def _protocol_specs(config: RunConfig) -> list[ProtocolSpec]:
+    # coherent specs keep their unit gap whatever omega_start/omega_end say
     thermal = ThermalSpec.from_beta(config.beta)
-    specs = []
-    for n in config.n_steps:
-        if config.kind == "coherent":
-            specs.append(ProtocolSpec.coherent(n, thermal))
-        else:
-            specs.append(
-                ProtocolSpec.incoherent(n, thermal, config.omega_start, config.omega_end)
-            )
-    return specs
+    omegas = (config.omega_start, config.omega_end) if config.kind == INCOHERENT else (1.0, 1.0)
+    return [ProtocolSpec(config.kind, n, thermal, *omegas) for n in config.n_steps]
 
 
 def run_analytic(config: RunConfig) -> int:
@@ -164,7 +145,7 @@ def run_analytic(config: RunConfig) -> int:
 
 
 def run_simulate(config: RunConfig) -> int:
-    spam = _spam_model(config)
+    spam = _spam_model(config) if config.spam else None
     multiple = len(config.n_steps) > 1
     for spec in _protocol_specs(config):
         samples = sample_work(spec, spam, config.runs, config.seed, workers=config.workers)
@@ -174,7 +155,8 @@ def run_simulate(config: RunConfig) -> int:
         write_samples(path, samples)
         estimate = stats.estimate_from_samples(samples)
         report = stats.bootstrap_q(
-            spec.thermal, spec.n_steps, config.runs, config.resamples, config.seed
+            spec.thermal, spec.n_steps, config.runs, config.resamples, config.seed,
+            kind=spec.kind, omega_start=spec.omega_start, omega_end=spec.omega_end, spam=spam,
         )
         print(
             f"wrote {path}: n_steps={spec.n_steps} runs={config.runs} "
@@ -191,7 +173,7 @@ def run_sweep(config: RunConfig) -> int:
     sweep = analytics.incoherent_region_sweep(config.beta)
     for v_inv, value in zip(sweep.bin_centers().tolist(), sweep.bin_maxima.tolist()):
         rows.append({"provenance": "incoherent_sim", "v_inv": v_inv, "nq_rescaled": value})
-    spam = SpamModel(p_bright_given_0=config.spam_bright, p_dark_given_1=config.spam_dark)
+    spam = _spam_model(config)
     for point in analytics.spam_bound_curve(config.beta, spam, SWEEP_CURVE_N):
         rows.append({"provenance": point.provenance, "v_inv": point.inverse_speed,
                      "nq_rescaled": point.rescaled_q})
@@ -216,7 +198,7 @@ def run_certify(config: RunConfig) -> int:
     """
     references = load_reference_points()
     thermal = ThermalSpec.from_beta(config.beta)
-    spam = SpamModel(p_bright_given_0=config.spam_bright, p_dark_given_1=config.spam_dark)
+    spam = _spam_model(config)
     sweep = analytics.incoherent_region_sweep(config.beta)
 
     rows = []

@@ -101,30 +101,25 @@ def _to_float(key: str, value: str, line: int | None) -> float:
     return number
 
 
+_CONVERTERS = {"bool": _to_bool, "int": _to_int, "float": _to_float}
+
+
 def _convert(key: str, value, line: int | None):
-    """Convert a raw value (string from file, or typed from flags)."""
+    """Convert a raw value: a string from a file or a flag, or a typed value.
+
+    The field's annotation picks the conversion; a ``list[...]`` field takes
+    a comma list.
+    """
     if key not in _KEY_TYPES:
         _fail(key, "unknown key", line)
     if not isinstance(value, str):
         return value
-    if key in ("spam", "include_experiment"):
-        return _to_bool(key, value, line)
-    if key == "n_steps":
-        return [_to_int(key, part, line) for part in value.split(",") if part.strip()]
-    if key == "betas":
-        return [_to_float(key, part, line) for part in value.split(",") if part.strip()]
-    if key in ("runs", "resamples", "seed", "workers", "shots"):
-        return _to_int(key, value, line)
-    if key in (
-        "beta",
-        "omega_start",
-        "omega_end",
-        "spam_bright",
-        "spam_dark",
-        "threshold",
-        "target_theta",
-    ):
-        return _to_float(key, value, line)
+    kind = _KEY_TYPES[key]
+    if kind.startswith("list["):
+        convert = _CONVERTERS[kind[len("list[") : -1]]
+        return [convert(key, part, line) for part in value.split(",") if part.strip()]
+    if kind in _CONVERTERS:
+        return _CONVERTERS[kind](key, value, line)
     return value
 
 
@@ -164,6 +159,8 @@ def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
     if config.command == "certify" and config.beta != EXPERIMENT_BETA:
         message = f"certify compares against points measured at beta = {EXPERIMENT_BETA}"
         _fail("beta", f"{message}, got {config.beta}", where("beta"))
+    if config.spam and config.kind == "incoherent":
+        _fail("spam", "readout error is modelled for coherent protocols only", where("spam"))
     if config.omega_start <= 0.0:
         _fail("omega_start", f"must be > 0, got {config.omega_start}", where("omega_start"))
     if config.omega_end <= 0.0:

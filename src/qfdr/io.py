@@ -118,8 +118,8 @@ def read_samples(path: Path) -> WorkSampleSet:
         )
     _, rows = read_csv_table(path)
     totals = np.array([float(r["total_work"]) for r in rows])
-    return WorkSampleSet(
-        totals=totals,
+    return WorkSampleSet.from_totals(
+        totals,
         first_excited_counts=np.array(
             [int(c) for c in header["first_excited_counts"].split(",")], dtype=np.int64
         ),

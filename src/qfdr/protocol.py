@@ -13,7 +13,9 @@ Two protocol families are supported:
   w = -delta/2 otherwise, delta being the gap increment.
 
 Thermal resets make the steps statistically independent, so a trajectory
-total is just a sum of independent draws from the per-step tables.  Sampling
+total is just a sum of independent draws from the per-step tables.  One
+joint (work, first readout) table per step, ``step_table``, serves both
+``sample_work`` and the exact per-run law the bootstrap resamples.  Sampling
 uses a counter-based Philox stream partitioned per run, which makes results
 bit-for-bit identical no matter how the runs are split across workers.
 """
@@ -234,72 +236,134 @@ def apply_spam(dist: StepWorkDistribution, spam: SpamModel) -> StepWorkDistribut
 
 
 @dataclass(frozen=True)
+class StepTable:
+    """Joint law of (work, first readout) of every step of a protocol.
+
+    ``probs[j, l, k]`` is the probability that step j does work ``works[l]``
+    with first readout k (0 ground, 1 excited).  ``works`` is an arithmetic
+    progression, so run totals lie on the grid N works[0] + i (works[1] -
+    works[0]).  ``flips[l]`` marks the levels counted in
+    ``WorkSampleSet.flip_counts``.
+    """
+
+    works: np.ndarray
+    probs: np.ndarray
+    flips: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.works.size < 2 or self.probs.shape[1:] != (self.works.size, 2):
+            raise ValueError("probs must have shape (n_steps, len(works) >= 2, 2)")
+        row_sums = self.probs.sum(axis=(1, 2))
+        if np.any(self.probs < -PROB_ATOL) or np.any(abs(row_sums - 1.0) > PROB_ATOL):
+            raise ValueError("every row of a step table must be a probability table")
+
+
+def step_table(spec: ProtocolSpec, spam: SpamModel | None = None) -> StepTable:
+    """The one step model that ``sample_work`` and the bootstrap draw from.
+
+    Coherent steps: the first readout is excited with the thermal occupation
+    p and the pulse flips it with s = sin^2(pi/(4N)), so the (w, k) cells are
+    (-1, 1) = p s, (0, 0) = (1-p)(1-s), (0, 1) = p(1-s), (+1, 0) = (1-p) s.
+    Readout error moves work outcomes through ``apply_spam``'s channel at
+    either first readout, so the work marginal is ``apply_spam``'s table.
+    Incoherent ramps get one row per quench: w = +delta/2 exactly when the
+    first readout finds the excited level occupied at gap omega_j.
+    """
+    if spam is not None and not spam.is_trivial and spec.kind != COHERENT:
+        raise ValueError("SPAM perturbation is supported for coherent protocols only")
+    n = spec.n_steps
+    if spec.kind == COHERENT:
+        # the work table split by first readout: rows w = -1, 0, +1,
+        # columns ground, excited
+        p = spec.thermal.population
+        minus, zero, plus = coherent_step_distribution(spec).probs
+        joint = np.array([[0.0, minus], [(1 - p) * zero, p * zero], [plus, 0.0]])
+        if spam is not None:
+            pb, pd = spam.p_bright_given_0, spam.p_dark_given_1
+            channel = np.array([[1.0 - pb, pd, 0.0], [pb, 1.0 - pb - pd, pd], [0.0, pb, 1.0 - pd]])
+            joint = channel @ joint
+        works = np.array([-1.0, 0.0, 1.0])
+        return StepTable(works, np.broadcast_to(joint, (n, 3, 2)), flips=works != 0.0)
+    excited = np.array([_excited_at_gap(spec.thermal.beta, spec.gap(j)) for j in range(n)])
+    probs = np.zeros((n, 2, 2))
+    probs[:, 0, 0] = 1.0 - excited
+    probs[:, 1, 1] = excited
+    works = np.array([-0.5, 0.5]) * spec.gap_step
+    return StepTable(works, probs, flips=works > 0.0)
+
+
+def run_distribution(table: StepTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact law of one run's (W, K), K counting its excited first readouts.
+
+    The N-fold convolution of the step rows, returned over its support as
+    parallel arrays of totals W, counts K and probabilities.
+    """
+    n, levels, _ = table.probs.shape
+    pmf = np.zeros((n * (levels - 1) + 1, n + 1))
+    pmf[0, 0] = 1.0
+    for j, step in enumerate(table.probs):
+        rows, cols = j * (levels - 1) + 1, j + 1
+        done = pmf[:rows, :cols].copy()
+        pmf[:rows, :cols] = 0.0
+        for (level, k), q in np.ndenumerate(step):
+            if q > 0.0:
+                pmf[level : level + rows, k : k + cols] += q * done
+    i, k = np.nonzero(pmf)
+    return n * table.works[0] + i * (table.works[1] - table.works[0]), k, pmf[i, k]
+
+
+@dataclass(frozen=True)
 class WorkSampleSet:
     """Monte Carlo work totals plus the aggregates needed to refit p and p_f.
 
+    Run r's total is ``levels[codes[r]]``, ``levels`` being the few distinct
+    totals in ascending order and ``codes`` the narrowest unsigned integers.
     ``first_excited_counts[j]`` counts excited first readouts at step j over
     all runs; ``flip_counts[j]`` counts nonzero-work outcomes at step j for
     coherent protocols and positive-work outcomes for incoherent ones.
     Identical (spec, spam, seed, runs) reproduce identical totals bit for bit.
     """
 
-    totals: np.ndarray
+    levels: np.ndarray
+    codes: np.ndarray
     first_excited_counts: np.ndarray
     flip_counts: np.ndarray
     seed: int
     spec: ProtocolSpec
     spam: SpamModel | None = None
 
+    @classmethod
+    def from_totals(cls, totals: np.ndarray, **fields) -> "WorkSampleSet":
+        levels, codes = np.unique(totals, return_inverse=True)
+        return cls(levels, codes.astype(np.min_scalar_type(levels.size)), **fields)
+
+    @property
+    def totals(self) -> np.ndarray:
+        """Total work of each run, in run order."""
+        return self.levels[self.codes]
+
     @property
     def runs(self) -> int:
-        return int(self.totals.size)
-
-
-def _run_budget(n_steps: int) -> int:
-    # two doubles per step (first readout, work outcome), padded to the
-    # Philox block size so per-run counter offsets stay aligned
-    need = 2 * n_steps
-    return ((need + _PHILOX_BLOCK - 1) // _PHILOX_BLOCK) * _PHILOX_BLOCK
-
-
-def _chunk_uniforms(seed: int, start_run: int, n_runs: int, budget: int) -> np.ndarray:
-    bit_generator = Philox(key=seed)
-    bit_generator.advance(start_run * (budget // _PHILOX_BLOCK))
-    return Generator(bit_generator).random((n_runs, budget))
+        return int(self.codes.size)
 
 
 def _sample_chunk(
-    spec: ProtocolSpec,
-    tables: list[StepWorkDistribution],
-    seed: int,
-    start_run: int,
-    n_runs: int,
+    table: StepTable, seed: int, start_run: int, n_runs: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = spec.n_steps
-    u = _chunk_uniforms(seed, start_run, n_runs, _run_budget(n))
-    u_first = u[:, 0 : 2 * n : 2]
-    u_work = u[:, 1 : 2 * n : 2]
-
-    if spec.kind == COHERENT:
-        first = u_first < spec.thermal.population
-        table = tables[0]
-        cumulative = np.cumsum(table.probs)
-        outcome = np.searchsorted(cumulative, u_work, side="right")
-        work = table.works[np.minimum(outcome, table.works.size - 1)]
-        flips = work != 0.0
-    else:
-        # the second readout repeats the first outcome, so the work sign is
-        # fixed by the first readout alone
-        p_excited = np.array(
-            [_excited_at_gap(spec.thermal.beta, spec.gap(j)) for j in range(n)]
-        )
-        first = u_first < p_excited[None, :]
-        half_step = spec.gap_step / 2.0
-        work = np.where(first, half_step, -half_step)
-        flips = work > 0.0
-
-    totals = work.sum(axis=1)
-    return totals, first.sum(axis=0, dtype=np.int64), flips.sum(axis=0, dtype=np.int64)
+    # one double per step, padded to the Philox block size so per-run
+    # counter offsets stay aligned
+    n = table.probs.shape[0]
+    budget = -(-n // _PHILOX_BLOCK) * _PHILOX_BLOCK
+    bit_generator = Philox(key=seed)
+    bit_generator.advance(start_run * (budget // _PHILOX_BLOCK))
+    u = Generator(bit_generator).random((n_runs, budget))[:, :n]
+    # cell index 2 l + k of each step by inverse-CDF lookup in its row
+    cell = np.zeros(u.shape, dtype=np.int8)
+    for bound in table.probs.reshape(n, -1).cumsum(axis=1)[:, :-1].T:
+        cell += u >= bound
+    level, first = np.divmod(cell, 2)
+    totals = table.works[level].sum(axis=1)
+    return totals, first.sum(axis=0, dtype=np.int64), table.flips[level].sum(axis=0, dtype=np.int64)
 
 
 def sample_work(
@@ -311,65 +375,28 @@ def sample_work(
 ) -> WorkSampleSet:
     """Draw ``runs`` independent trajectory totals W = sum of N step works.
 
-    Steps within a run are independent draws from the exact per-step tables
-    (SPAM-perturbed when ``spam`` is given).  Each run owns a fixed slice of
-    a counter-based random stream, so any partition of the runs across
-    ``workers`` yields the same totals as a single-worker execution.
+    Each step draws its (work, first readout) cell from ``step_table`` with
+    one uniform (SPAM-perturbed when ``spam`` is given).  Each run owns a
+    fixed slice of a counter-based random stream, so any partition of the
+    runs across ``workers`` yields the same totals as a single-worker
+    execution.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if spam is not None and not spam.is_trivial and spec.kind != COHERENT:
-        raise ValueError("SPAM perturbation is supported for coherent protocols only")
-
-    if spec.kind == COHERENT:
-        table = coherent_step_distribution(spec)
-        if spam is not None:
-            table = apply_spam(table, spam)
-        tables = [table]
-    else:
-        tables = []
+    table = step_table(spec, spam)
 
     bounds = np.linspace(0, runs, min(workers, runs) + 1).astype(int)
     chunks = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if len(chunks) == 1:
-        results = [_sample_chunk(spec, tables, seed, *chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(_sample_chunk, spec, tables, seed, start, count)
-                for start, count in chunks
-            ]
-            results = [f.result() for f in futures]
-
-    totals = np.concatenate([r[0] for r in results])
-    first_counts = np.sum([r[1] for r in results], axis=0)
-    flip_counts = np.sum([r[2] for r in results], axis=0)
-    return WorkSampleSet(
-        totals=totals,
-        first_excited_counts=first_counts,
-        flip_counts=flip_counts,
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        results = list(pool.map(lambda chunk: _sample_chunk(table, seed, *chunk), chunks))
+    totals, first_counts, flip_counts = zip(*results)
+    return WorkSampleSet.from_totals(
+        np.concatenate(totals),
+        first_excited_counts=np.sum(first_counts, axis=0),
+        flip_counts=np.sum(flip_counts, axis=0),
         seed=seed,
         spec=spec,
         spam=spam,
     )
-
-
-def sample_table_totals(
-    dist: StepWorkDistribution, n_steps: int, runs: int, seed: int
-) -> np.ndarray:
-    """Totals of ``n_steps`` i.i.d. draws from an arbitrary step table.
-
-    Lower-level sibling of :func:`sample_work` for cross-checking analytic
-    results against tables that do not come from a protocol spec.
-    """
-    if runs < 1 or n_steps < 1:
-        raise ValueError("runs and n_steps must be >= 1")
-    budget = ((n_steps + _PHILOX_BLOCK - 1) // _PHILOX_BLOCK) * _PHILOX_BLOCK
-    bit_generator = Philox(key=seed)
-    u = Generator(bit_generator).random((runs, budget))[:, :n_steps]
-    cumulative = np.cumsum(dist.probs)
-    outcome = np.searchsorted(cumulative, u, side="right")
-    work = dist.works[np.minimum(outcome, dist.works.size - 1)]
-    return work.sum(axis=1)

@@ -14,15 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .analytics import (
-    MONTE_CARLO,
-    FdrEstimate,
-    SweepPoint,
-    delta_free_energy,
-    flip_probability,
-    make_estimate,
+from .analytics import MONTE_CARLO, FdrEstimate, SweepPoint, delta_free_energy, make_estimate
+from .protocol import (
+    COHERENT,
+    ProtocolSpec,
+    SpamModel,
+    WorkSampleSet,
+    run_distribution,
+    step_table,
 )
-from .protocol import COHERENT, COHERENT_NORM_DH, WorkSampleSet
 from .qubit import BETA_CAP, ThermalSpec, population_to_beta
 
 
@@ -68,81 +68,19 @@ class BootstrapReport:
     @property
     def sigma_rescaled(self) -> float:
         """Bootstrap error on the plotted scale, N sigma_Q / |dH|."""
-        return self.n_steps * self.sigma_q / self.norm_dh
+        return self.n_steps * self.sigma_q / self.norm_dh if self.norm_dh > 0.0 else 0.0
 
 
-def bootstrap_q(
-    thermal: ThermalSpec,
-    n_steps: int,
-    runs: int,
-    resamples: int = 200,
-    seed: int = 0,
-    flip_probability_override: float | None = None,
-) -> BootstrapReport:
-    """Parametric bootstrap of the coherent correction.
-
-    Each resample regenerates runs * n_steps independent two-point
-    measurements from the fitted parameters: the qubit starts dark and is
-    excited with probability p, and the readout pair differs with the flip
-    probability (the ideal sin^2(pi/(4N)) unless overridden).  From every
-    synthetic dataset the mean work, work variance, refitted beta and the
-    correction Q are computed; the reported sigma is the sample standard
-    deviation of those Q values.  Deterministic for a fixed seed.
-    """
-    if resamples < 2:
-        raise ValueError(f"resamples must be >= 2, got {resamples}")
-    if runs < 1 or n_steps < 1:
-        raise ValueError("runs and n_steps must be >= 1")
-    p = thermal.population
-    p_flip = (
-        flip_probability(n_steps)
-        if flip_probability_override is None
-        else flip_probability_override
-    )
-    if not 0.0 <= p_flip <= 1.0:
-        raise ValueError(f"flip probability must lie in [0, 1], got {p_flip}")
-
-    # each resample owns a disjoint slice of the counter-based stream
-    blocks_per_resample = (2 * runs * n_steps + 3) // 4 + 1
-    q_values = np.empty(resamples)
-    betas = np.empty(resamples)
-    for r in range(resamples):
-        bit_generator = Philox(key=seed)
-        bit_generator.advance(r * blocks_per_resample)
-        rng = Generator(bit_generator)
-        first = rng.random((runs, n_steps)) < p
-        flipped = rng.random((runs, n_steps)) < p_flip
-        work = np.where(flipped, np.where(first, -1.0, 1.0), 0.0)
-        totals = work.sum(axis=1)
-        beta_hat = _beta_from_frequency(float(first.mean()))
-        variance = float(totals.var(ddof=1)) if runs > 1 else 0.0
-        q_values[r] = beta_hat / 2.0 * variance - float(totals.mean())
-        betas[r] = beta_hat
-
-    return BootstrapReport(
-        resamples=resamples,
-        q_values=q_values,
-        sigma_q=float(q_values.std(ddof=1)),
-        sigma_beta=float(betas.std(ddof=1)),
-        n_steps=n_steps,
-        norm_dh=COHERENT_NORM_DH,
-    )
-
-
-def estimate_from_samples(samples: WorkSampleSet) -> FdrEstimate:
-    """Monte Carlo estimate of the correction from recorded trajectories.
-
-    Mirrors the experimental analysis: for coherent protocols beta is
-    refitted from the first-readout frequencies; for incoherent protocols
-    (where the occupation varies per step) the spec's beta is used.
-    """
-    spec = samples.spec
-    totals = samples.totals
-    mean = float(totals.mean())
-    variance = float(totals.var(ddof=1)) if totals.size > 1 else 0.0
+def _fit_histogram(
+    spec: ProtocolSpec, totals: np.ndarray, counts: np.ndarray, excited: int
+) -> FdrEstimate:
+    """Estimate Q from ``counts[i]`` runs of total work ``totals[i]`` with
+    ``excited`` excited first readouts in all, refitting beta if coherent."""
+    runs = int(counts.sum())
+    mean = float(counts @ totals) / runs
+    variance = float(counts @ (totals - mean) ** 2) / (runs - 1) if runs > 1 else 0.0
     if spec.kind == COHERENT:
-        p_hat = float(samples.first_excited_counts.sum()) / (spec.n_steps * samples.runs)
-        beta = _beta_from_frequency(p_hat)
+        beta = _beta_from_frequency(float(excited) / (spec.n_steps * runs))
         delta_f = 0.0
     else:
         beta = spec.thermal.beta
@@ -156,6 +94,63 @@ def estimate_from_samples(samples: WorkSampleSet) -> FdrEstimate:
         norm_dh=spec.norm_dh,
         source=MONTE_CARLO,
     )
+
+
+def bootstrap_q(
+    thermal: ThermalSpec,
+    n_steps: int,
+    runs: int,
+    resamples: int = 200,
+    seed: int = 0,
+    *,
+    kind: str = COHERENT,
+    omega_start: float = 1.0,
+    omega_end: float = 1.0,
+    spam: SpamModel | None = None,
+) -> BootstrapReport:
+    """Parametric bootstrap of the correction of a coherent or incoherent protocol.
+
+    Each resample is ``runs`` runs of the ``step_table`` that ``sample_work``
+    draws from (SPAM-perturbed when ``spam`` is given).  The estimator needs
+    only how many runs fall on each (total work, excited first readouts)
+    pair, so a resample is one multinomial draw over the exact per-run law
+    of that pair, refitted as ``estimate_from_samples`` refits recorded runs.
+    sigma_q is the sample standard deviation of the Q values.  Draws use the
+    Philox key (seed, 1), apart from the (seed, 0) stream of ``sample_work``.
+    """
+    if resamples < 2:
+        raise ValueError(f"resamples must be >= 2, got {resamples}")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    spec = ProtocolSpec(kind, n_steps, thermal, omega_start, omega_end)
+    totals, excited, probs = run_distribution(step_table(spec, spam))
+    rng = Generator(Philox(key=[seed, 1]))
+    estimates = []
+    for _ in range(resamples):
+        counts = rng.multinomial(runs, probs)
+        estimates.append(_fit_histogram(spec, totals, counts, counts @ excited))
+
+    q_values, betas = np.array([(e.q_value, e.beta) for e in estimates]).T
+    return BootstrapReport(
+        resamples=resamples,
+        q_values=q_values,
+        sigma_q=float(q_values.std(ddof=1)),
+        sigma_beta=float(betas.std(ddof=1)),
+        n_steps=n_steps,
+        norm_dh=spec.norm_dh,
+    )
+
+
+def estimate_from_samples(samples: WorkSampleSet) -> FdrEstimate:
+    """Monte Carlo estimate of the correction from recorded trajectories.
+
+    Mirrors the experimental analysis: for coherent protocols beta is
+    refitted from the first-readout frequencies; for incoherent protocols
+    (where the occupation varies per step) the spec's beta is used.
+    """
+    counts = np.bincount(samples.codes, minlength=samples.levels.size)
+    excited = int(samples.first_excited_counts.sum())
+    return _fit_histogram(samples.spec, samples.levels, counts, excited)
 
 
 @dataclass(frozen=True)

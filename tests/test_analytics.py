@@ -30,10 +30,10 @@ from qfdr.analytics import (
 from qfdr.protocol import (
     ProtocolSpec,
     SpamModel,
-    StepWorkDistribution,
+    StepTable,
     coherent_step_distribution,
     incoherent_step_distribution,
-    sample_table_totals,
+    run_distribution,
 )
 from qfdr.qubit import ThermalSpec
 
@@ -326,26 +326,28 @@ class TestSpamCorrection:
             estimate = spam_correction(thermal, SpamModel(pb, pd), n)
             np.testing.assert_allclose(estimate.q_value, expected, atol=1e-14)
 
-    def test_monte_carlo_cross_check(self):
-        """Sample the no-rotation misread table and recompute the correction."""
+    def test_run_distribution_cross_check(self):
+        """The exact run law of the no-rotation misread table reproduces the
+        correction: a second readout misread from the first readout's level."""
         spam = SpamModel(0.004, 0.004)
-        n, runs = 7, 300_000
+        n = 7
         p = EXPERIMENT.population
-        plus = (1.0 - p) * spam.p_bright_given_0
-        minus = p * spam.p_dark_given_1
-        table = StepWorkDistribution(
+        pb, pd = spam.p_bright_given_0, spam.p_dark_given_1
+        # rows w = -1, 0, +1; columns first readout ground, excited
+        row = np.array([[0.0, p * pd], [(1 - p) * (1 - pb), p * (1 - pd)], [(1 - p) * pb, 0.0]])
+        table = StepTable(
             works=np.array([-1.0, 0.0, 1.0]),
-            probs=np.array([minus, 1.0 - plus - minus, plus]),
+            probs=np.broadcast_to(row, (n, 3, 2)),
+            flips=np.array([True, False, True]),
         )
-        totals = sample_table_totals(table, n_steps=n, runs=runs, seed=606)
+        totals, excited, probs = run_distribution(table)
+        mean = probs @ totals
+        var = probs @ (totals - mean) ** 2
         beta = EXPERIMENT.beta
-        q_mc = beta / 2.0 * totals.var(ddof=1) - totals.mean()
-        centered = totals - totals.mean()
-        se_mean = totals.std(ddof=1) / math.sqrt(runs)
-        se_var = (centered**2).std(ddof=1) / math.sqrt(runs)
-        se_q = math.hypot(beta / 2.0 * se_var, se_mean)
+        q_exact = beta / 2.0 * var - mean
         expected = spam_correction(EXPERIMENT, spam, n).q_value
-        assert abs(q_mc - expected) < 5 * se_q
+        np.testing.assert_allclose(q_exact, expected, rtol=1e-12)
+        np.testing.assert_allclose(probs @ excited, n * p, rtol=1e-12)
 
 
 class TestTemperatureProfile:

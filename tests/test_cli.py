@@ -243,6 +243,33 @@ class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         assert main(["analytic", "--beta", "-1"]) == 2
 
+    def test_incoherent_with_spam_is_2(self, tmp_path, capsys):
+        out = tmp_path / "samples.csv"
+        code = main(["simulate", "--kind", "incoherent", "--spam", "--runs", "100",
+                     "--output", str(out)])
+        assert code == 2
+        assert "spam" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("beta", "nan"), ("omega_start", "nan"), ("omega_end", "inf"), ("beta", "inf")],
+    )
+    def test_non_finite_value_is_2(self, tmp_path, capsys, source, key, value):
+        """Flag values go through the same conversion as file values."""
+        out = tmp_path / "analytic.csv"
+        argv = ["analytic", "--kind", "incoherent", "--output", str(out)]
+        if source == "flag":
+            argv += [f"--{key.replace('_', '-')}", value]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_in_file_is_2(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("command = analytic\nwavelength = 729\n")

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qfdr.analytics import coherent_cumulants, incoherent_cumulants
 from qfdr.protocol import (
     COHERENT_NORM_DH,
+    PROB_ATOL,
     ProtocolSpec,
     SpamModel,
     StepWorkDistribution,
@@ -14,10 +18,17 @@ from qfdr.protocol import (
     apply_spam,
     coherent_step_distribution,
     incoherent_step_distribution,
-    sample_table_totals,
+    run_distribution,
     sample_work,
+    step_table,
 )
-from qfdr.qubit import ThermalSpec, gibbs_state, measure_energy_basis, tpm_step_distribution
+from qfdr.qubit import (
+    ThermalSpec,
+    gibbs_state,
+    measure_energy_basis,
+    thermal_population,
+    tpm_step_distribution,
+)
 
 EXPERIMENT = ThermalSpec.from_beta(3.413)
 
@@ -296,23 +307,137 @@ class TestSampleWork:
         assert samples.spam == spam
         assert samples.seed == 8
 
+    def test_totals_are_codes_into_levels(self):
+        samples = sample_work(ProtocolSpec.coherent(10, EXPERIMENT), None, runs=5000, seed=3)
+        assert samples.codes.dtype == np.uint8 and samples.codes.shape == (5000,)
+        assert np.all(np.diff(samples.levels) > 0) and samples.levels.size <= 21
+        totals = np.array([0.5, -1.0, 0.5, 2.0, -1.0])
+        rebuilt = WorkSampleSet.from_totals(totals, first_excited_counts=np.zeros(1),
+                                            flip_counts=np.zeros(1), seed=0, spec=samples.spec)
+        np.testing.assert_array_equal(rebuilt.totals, totals)
+        np.testing.assert_array_equal(rebuilt.levels, [-1.0, 0.5, 2.0])
+        assert rebuilt.runs == 5
+
     def test_run_count_validated(self):
         with pytest.raises(ValueError):
             sample_work(ProtocolSpec.coherent(2, EXPERIMENT), None, runs=0, seed=1)
 
 
-class TestSampleTableTotals:
+class TestSampleWorkTotals:
     def test_deterministic_and_supported(self):
-        dist = StepWorkDistribution(works=np.array([-1.0, 0.0, 1.0]),
-                                    probs=np.array([0.2, 0.5, 0.3]))
-        a = sample_table_totals(dist, n_steps=4, runs=300, seed=5)
-        b = sample_table_totals(dist, n_steps=4, runs=300, seed=5)
+        spec = ProtocolSpec.coherent(4, ThermalSpec.from_beta(0.5))
+        spam = SpamModel(0.2, 0.3)
+        a = sample_work(spec, spam, runs=300, seed=5).totals
+        b = sample_work(spec, spam, runs=300, seed=5).totals
         np.testing.assert_array_equal(a, b)
         assert a.shape == (300,)
         assert np.all(np.abs(a) <= 4)
 
     def test_frequencies(self):
-        dist = StepWorkDistribution(works=np.array([0.0, 1.0]), probs=np.array([0.75, 0.25]))
-        totals = sample_table_totals(dist, n_steps=1, runs=400_000, seed=17)
-        p_hat = totals.mean()
+        # a single quench from gap 1 to 3 at beta = ln 3 does w = +1 with
+        # the occupation 1/4 and w = -1 otherwise
+        spec = ProtocolSpec.incoherent(1, ThermalSpec.from_beta(math.log(3.0)), 1.0, 3.0)
+        totals = sample_work(spec, None, runs=400_000, seed=17).totals
+        p_hat = ((totals + 1.0) / 2.0).mean()
         assert abs(p_hat - 0.25) < 5 * math.sqrt(0.25 * 0.75 / 400_000)
+
+
+def work_law(works, probs):
+    """Probability of each distinct work value, as a dict."""
+    law = {}
+    for w, q in zip(works, probs):
+        law[float(w)] = law.get(float(w), 0.0) + float(q)
+    return law
+
+
+def assert_work_marginal(works, row, step):
+    """A (work, first readout) table row sums over k to the step's work table."""
+    a, b = work_law(works, row.sum(axis=1)), work_law(step.works, step.probs)
+    for w in set(a) | set(b):
+        assert abs(a.get(w, 0.0) - b.get(w, 0.0)) <= PROB_ATOL
+
+
+def run_moments(table):
+    # the variance is centred on the smallest total: the mean's rounding,
+    # eps * |W|, squared would swamp the tiny variance of a cold ramp
+    totals, _, probs = run_distribution(table)
+    offsets = totals - totals[0]
+    return probs @ totals, probs @ (offsets - probs @ offsets) ** 2
+
+
+spam_rates = st.floats(0.0, 0.49)
+
+
+class TestStepTable:
+    """The joint (work, first readout) table behind sampling and the bootstrap."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 60),
+        beta=st.floats(0.0, 10.0),
+        spam=st.none() | st.builds(SpamModel, spam_rates, spam_rates),
+    )
+    @example(n=2, beta=3.413, spam=None)
+    @example(n=7, beta=3.413, spam=SpamModel(0.004, 0.004))
+    def test_coherent_table(self, n, beta, spam):
+        spec = ProtocolSpec.coherent(n, ThermalSpec.from_beta(beta))
+        table = step_table(spec, spam)
+        assert table.probs.shape == (n, 3, 2)
+        assert np.all(table.probs >= 0.0)
+        assert np.all(np.abs(table.probs.sum(axis=(1, 2)) - 1.0) <= PROB_ATOL)
+        step = coherent_step_distribution(spec)
+        if spam is not None:
+            step = apply_spam(step, spam)
+        for row in table.probs:
+            assert_work_marginal(table.works, row, step)
+            assert abs(row[:, 1].sum() - thermal_population(beta)) <= PROB_ATOL
+        mean, var = run_moments(table)
+        if spam is None:
+            mean_ref, var_ref = coherent_cumulants(spec)
+        else:
+            mean_ref, var_ref = n * step.mean(), n * step.variance()
+        # the mean is 0 at beta = 0, where only an absolute rounding bound applies
+        assert math.isclose(mean, mean_ref, rel_tol=1e-12, abs_tol=1e-15 * n)
+        assert math.isclose(var, var_ref, rel_tol=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 200),
+        beta=st.floats(0.0, 10.0),
+        omega_start=st.sampled_from([1.0, 80.0]),
+        omega_end=st.floats(0.05, 20.0, exclude_min=True),
+    )
+    @example(n=26, beta=3.413, omega_start=1.0, omega_end=19.39)
+    @example(n=6, beta=3.413, omega_start=1.0, omega_end=1.0)
+    def test_incoherent_table(self, n, beta, omega_start, omega_end):
+        spec = ProtocolSpec.incoherent(n, ThermalSpec.from_beta(beta), omega_start, omega_end)
+        table = step_table(spec)
+        assert table.probs.shape == (n, 2, 2)
+        assert np.all(table.probs >= 0.0)
+        assert np.all(np.abs(table.probs.sum(axis=(1, 2)) - 1.0) <= PROB_ATOL)
+        for j, row in enumerate(table.probs):
+            step = incoherent_step_distribution(spec, j)
+            assert_work_marginal(table.works, row, step)
+            excited = thermal_population(min(beta * spec.gap(j), 745.0))
+            assert abs(row[:, 1].sum() - excited) <= PROB_ATOL
+        mean, var = run_moments(table)
+        mean_ref, var_ref = incoherent_cumulants(beta, omega_start, omega_end, n)
+        span = abs(omega_end - omega_start)
+        # f - 1/2 loses absolute precision ~eps when beta*omega is tiny, and
+        # the kernel caps beta*omega at 700 where the tables cap at 745
+        assert math.isclose(mean, mean_ref, rel_tol=1e-12, abs_tol=1e-15 * n * span)
+        cap_slack = span**2 / n * (1.0 / (1.0 + math.exp(700.0)))
+        assert math.isclose(var, var_ref, rel_tol=1e-12, abs_tol=cap_slack)
+
+    def test_first_readout_follows_the_work_sign(self):
+        """Without readout error an upward flip starts in the ground state and
+        a downward one in the excited state."""
+        row = step_table(ProtocolSpec.coherent(3, EXPERIMENT)).probs[0]
+        assert row[0, 0] == 0.0 and row[2, 1] == 0.0
+        assert row[0, 1] > 0.0 and row[2, 0] > 0.0
+
+    def test_spam_with_incoherent_protocol_rejected(self):
+        spec = ProtocolSpec.incoherent(3, EXPERIMENT, 1.0, 2.0)
+        with pytest.raises(ValueError):
+            step_table(spec, SpamModel(0.004, 0.004))
+        assert step_table(spec, SpamModel(0.0, 0.0)).probs.shape == (3, 2, 2)

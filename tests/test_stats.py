@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qfdr.analytics import SweepPoint, quantum_correction, spam_correction
-from qfdr.protocol import ProtocolSpec, SpamModel, sample_work
+from qfdr.protocol import COHERENT, INCOHERENT, ProtocolSpec, SpamModel, sample_work
 from qfdr.qubit import ThermalSpec
 from qfdr.stats import (
     beta_error,
@@ -77,13 +77,16 @@ class TestBootstrapQ:
         report = bootstrap_q(EXPERIMENT, 2, 8000, resamples=200, seed=5)
         assert report.q_values.shape == (200,)
         assert 0.021 / 1.5 <= report.sigma_rescaled <= 0.021 * 1.5
+        # the refitted beta spreads with the first-readout frequency
+        assert report.sigma_beta > 0.0
 
-    def test_no_flips_pins_work_to_zero(self):
+    def test_degenerate_ramp_pins_q_to_zero(self):
+        """A ramp with omega_end = omega_start does no work in any run."""
         report = bootstrap_q(EXPERIMENT, 2, 3000, resamples=50, seed=2,
-                             flip_probability_override=0.0)
+                             kind=INCOHERENT, omega_start=1.0, omega_end=1.0)
         assert np.all(report.q_values == 0.0)
         assert report.sigma_q == 0.0
-        assert report.sigma_beta > 0.0
+        assert report.sigma_rescaled == 0.0
 
     def test_mean_is_unbiased(self):
         report = bootstrap_q(EXPERIMENT, 2, 8000, resamples=200, seed=17)
@@ -102,7 +105,29 @@ class TestBootstrapQ:
             bootstrap_q(EXPERIMENT, 2, 100, resamples=1, seed=0)
         with pytest.raises(ValueError):
             bootstrap_q(EXPERIMENT, 2, 100, resamples=10, seed=0,
-                        flip_probability_override=1.5)
+                        kind=INCOHERENT, omega_end=2.0, spam=SpamModel(0.004, 0.004))
+
+    @pytest.mark.parametrize(
+        "n_steps, kind, omega_end, spam",
+        [
+            (2, COHERENT, 1.0, None),
+            (7, COHERENT, 1.0, SpamModel(0.004, 0.004)),
+            (26, INCOHERENT, 19.39, None),
+        ],
+        ids=["coherent", "coherent-spam", "incoherent"],
+    )
+    def test_sigma_matches_the_spread_of_estimates(self, n_steps, kind, omega_end, spam):
+        """The bootstrap sigma is the spread of the correction that
+        ``estimate_from_samples`` gives on independently sampled datasets."""
+        spec = ProtocolSpec(kind, n_steps, EXPERIMENT, 1.0, omega_end)
+        rescaled = [
+            estimate_from_samples(sample_work(spec, spam, runs=8000, seed=seed)).rescaled
+            for seed in range(100)
+        ]
+        spread = float(np.std(rescaled, ddof=1))
+        report = bootstrap_q(EXPERIMENT, n_steps, 8000, seed=100, kind=kind,
+                             omega_start=1.0, omega_end=omega_end, spam=spam)
+        assert abs(report.sigma_rescaled / spread - 1.0) <= 0.3
 
 
 class TestEstimateFromSamples:
@@ -129,6 +154,15 @@ class TestEstimateFromSamples:
             report = bootstrap_q(thermal, n, 100_000, resamples=60, seed=seed)
             analytic = quantum_correction(spec)
             assert abs(estimate.q_value - analytic.q_value) < 5 * report.sigma_q
+
+    @pytest.mark.parametrize("kind", [COHERENT, INCOHERENT])
+    def test_histogram_moments_equal_per_run_moments(self, kind):
+        spec = ProtocolSpec(kind, 5, EXPERIMENT, 1.0, 2.0)
+        samples = sample_work(spec, SpamModel(0.01, 0.02) if kind == COHERENT else None,
+                              runs=20_000, seed=5)
+        estimate = estimate_from_samples(samples)
+        assert math.isclose(estimate.mean_work, samples.totals.mean(), rel_tol=1e-12)
+        assert math.isclose(estimate.var_work, samples.totals.var(ddof=1), rel_tol=1e-12)
 
     def test_incoherent_estimate(self):
         from qfdr.analytics import incoherent_correction
