@@ -1,4 +1,5 @@
-"""Command-line front end: simulate, analyze, sweep, certify, calibrate.
+"""Command-line front end: simulate, analytic, sweep, certify, temperature-profile,
+calibrate.
 
 Exit codes: 0 success, 2 configuration/parse error, 3 certification failure,
 4 I/O failure.  Output files are byte-identical for identical configuration
@@ -19,8 +20,8 @@ from numpy.random import Generator, Philox
 
 from . import analytics, stats
 from .config import COMMANDS, ConfigError, RunConfig, build_config, parse_document
-from .io import read_csv_table, write_samples, write_table
-from .protocol import INCOHERENT, ProtocolSpec, SpamModel, sample_work
+from .io import write_samples, write_table
+from .protocol import COHERENT, INCOHERENT, ProtocolSpec, SpamModel, sample_work
 from .qubit import ThermalSpec
 from .reference import load_reference_points
 
@@ -59,11 +60,6 @@ CALIBRATE_FIELDS = ["target_theta", "shots", "seed", "true_duration", "fitted_du
 
 SWEEP_CURVE_N = np.arange(1, 101)
 
-FLAG_HELP = {
-    "n_steps": "step count, or comma list for batch jobs",
-    "betas": "comma list of inverse temperatures",
-}
-
 
 class CertificationFailure(Exception):
     pass
@@ -76,26 +72,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", nargs="?", choices=COMMANDS, help="what to run")
     parser.add_argument("--config", help="key=value configuration file")
-    # one flag per config key, passed on as the string typed, so flags and
-    # file values share one conversion
+    # one flag per config key; its value (the string typed, or a switch's
+    # bool) takes the same conversion as a file value
     for key in fields(RunConfig)[1:]:  # every key after the positional command
         action = argparse.BooleanOptionalAction if isinstance(key.default, bool) else None
         parser.add_argument("--" + key.name.replace("_", "-"), dest=key.name, action=action,
-                            help=FLAG_HELP.get(key.name))
+                            help=key.metadata.get("help"))
     return parser
 
 
 def load_config(argv: list[str]) -> RunConfig:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    file_values = {}
-    if args.config:
-        file_values = parse_document(Path(args.config).read_text())
-    overrides = {
-        key: getattr(args, key)
-        for key in vars(args)
-        if key != "config" and getattr(args, key) is not None
-    }
+    overrides = vars(_build_parser().parse_args(argv))
+    path = overrides.pop("config")
+    file_values = parse_document(Path(path).read_text()) if path else {}
     return build_config(file_values, overrides)
 
 
@@ -120,7 +109,7 @@ def _protocol_specs(config: RunConfig) -> list[ProtocolSpec]:
 def run_analytic(config: RunConfig) -> int:
     rows = []
     for spec in _protocol_specs(config):
-        if spec.kind == "coherent":
+        if spec.kind == COHERENT:
             estimate = analytics.quantum_correction(spec)
         else:
             estimate = analytics.incoherent_correction(spec)
@@ -246,17 +235,17 @@ def run_certify(config: RunConfig) -> int:
 
 
 def run_temperature_profile(config: RunConfig) -> int:
-    n = config.n_steps[0]
     rows = []
-    for estimate in analytics.temperature_profile(n, config.betas):
-        rows.append(
-            {
-                "n_steps": n,
-                "beta": estimate.beta,
-                "q_value": estimate.q_value,
-                "nq_rescaled": estimate.rescaled,
-            }
-        )
+    for n in config.n_steps:
+        for estimate in analytics.temperature_profile(n, config.betas):
+            rows.append(
+                {
+                    "n_steps": n,
+                    "beta": estimate.beta,
+                    "q_value": estimate.q_value,
+                    "nq_rescaled": estimate.rescaled,
+                }
+            )
     path = _output_path(config, f"temperature-profile.{config.format}")
     write_table(path, PROFILE_FIELDS, rows, config.format)
     print(f"wrote {path} ({len(rows)} rows)")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+from .protocol import COHERENT, INCOHERENT, KINDS
 from .reference import EXPERIMENT_BETA
 
 
@@ -19,37 +20,54 @@ class ConfigError(ValueError):
 
 
 COMMANDS = ("simulate", "analytic", "sweep", "certify", "temperature-profile", "calibrate")
-KINDS = ("coherent", "incoherent")
 FORMATS = ("csv", "json")
 
 DEFAULT_BETAS = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 
 
+def _key(requirement: str, check, flag_help: str | None = None, **default):
+    """A RunConfig field whose value must satisfy ``check``, or else the
+    error states ``requirement``; ``flag_help`` is its flag's help text."""
+    return field(**default, metadata={"requirement": requirement, "check": check,
+                                      "help": flag_help})
+
+
 @dataclass
 class RunConfig:
-    command: str = ""
-    kind: str = "coherent"
-    n_steps: list[int] = field(default_factory=lambda: [2])
-    beta: float = 3.413
-    omega_start: float = 1.0
-    omega_end: float = 2.0
-    runs: int = 8000
-    resamples: int = 200
-    seed: int = 0
-    workers: int = 1
+    """The settings of one run, one field per configuration key and flag.
+
+    A field's annotation picks how its text is parsed (a ``list[...]`` field
+    takes a comma list, a float must be finite); its metadata, where it has
+    any, holds its range or choices and its flag help (see ``_key``).
+    """
+
+    command: str = _key(f"must be one of {COMMANDS}", lambda v: v in COMMANDS, default="")
+    kind: str = _key(f"must be one of {KINDS}", lambda v: v in KINDS, default=COHERENT)
+    n_steps: list[int] = _key("must be positive integers", lambda v: v and min(v) >= 1,
+                              "step count, or comma list for batch jobs",
+                              default_factory=lambda: [2])
+    beta: float = _key("must be >= 0", lambda v: v >= 0.0, default=3.413)
+    omega_start: float = _key("must be > 0", lambda v: v > 0.0, default=1.0)
+    omega_end: float = _key("must be > 0", lambda v: v > 0.0, default=2.0)
+    runs: int = _key("must be >= 1", lambda v: v >= 1, default=8000)
+    resamples: int = _key("must be >= 2", lambda v: v >= 2, default=200)
+    seed: int = _key("must be a 64-bit unsigned integer", lambda v: 0 <= v < 2**64, default=0)
+    workers: int = _key("must be >= 1", lambda v: v >= 1, default=1)
     spam: bool = False
-    spam_bright: float = 0.004
-    spam_dark: float = 0.004
-    threshold: float = 10.0
+    spam_bright: float = _key("must lie in [0, 0.5)", lambda v: 0.0 <= v < 0.5, default=0.004)
+    spam_dark: float = _key("must lie in [0, 0.5)", lambda v: 0.0 <= v < 0.5, default=0.004)
+    threshold: float = _key("must be > 0", lambda v: v > 0.0, default=10.0)
     include_experiment: bool = True
-    betas: list[float] = field(default_factory=lambda: list(DEFAULT_BETAS))
+    betas: list[float] = _key("must be >= 0", lambda v: all(b >= 0.0 for b in v),
+                              "comma list of inverse temperatures",
+                              default_factory=lambda: list(DEFAULT_BETAS))
     target_theta: float = math.pi / 2.0
-    shots: int = 5000
+    shots: int = _key("must be >= 1", lambda v: v >= 1, default=5000)
     output: str = ""
-    format: str = "csv"
+    format: str = _key(f"must be one of {FORMATS}", lambda v: v in FORMATS, default="csv")
 
 
-_KEY_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELDS = {key.name: key for key in fields(RunConfig)}
 
 
 def parse_document(text: str) -> dict[str, tuple[str, int]]:
@@ -105,29 +123,33 @@ _CONVERTERS = {"bool": _to_bool, "int": _to_int, "float": _to_float}
 
 
 def _convert(key: str, value, line: int | None):
-    """Convert a raw value: a string from a file or a flag, or a typed value.
+    """Convert a value from a file, a flag or a library caller.
 
-    The field's annotation picks the conversion; a ``list[...]`` field takes
-    a comma list.
+    A typed value is first written out as text (a list as a comma list), so
+    every source takes the same parser and the same finiteness check: a
+    float for an int key, or a bool for a number key, is rejected like its
+    text.  The field's annotation picks the parser.
     """
-    if key not in _KEY_TYPES:
+    if key not in _FIELDS:
         _fail(key, "unknown key", line)
-    if not isinstance(value, str):
-        return value
-    kind = _KEY_TYPES[key]
+    text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+    kind = _FIELDS[key].type
     if kind.startswith("list["):
         convert = _CONVERTERS[kind[len("list[") : -1]]
-        return [convert(key, part, line) for part in value.split(",") if part.strip()]
+        return [convert(key, part, line) for part in text.split(",") if part.strip()]
     if kind in _CONVERTERS:
-        return _CONVERTERS[kind](key, value, line)
-    return value
+        return _CONVERTERS[kind](key, text, line)
+    return text
 
 
 def build_config(
     file_values: dict[str, tuple[str, int]] | None = None,
     overrides: dict[str, object] | None = None,
 ) -> RunConfig:
-    """Merge file assignments with flag overrides into a validated RunConfig."""
+    """Merge file assignments with flag overrides into a validated RunConfig.
+
+    Overrides may be typed values or flag strings; a None override is unset.
+    """
     config = RunConfig()
     lines: dict[str, int | None] = {}
     for key, (raw, line) in (file_values or {}).items():
@@ -143,45 +165,12 @@ def build_config(
 
 
 def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
-    def where(key: str) -> int | None:
-        return lines.get(key)
-
-    if config.command not in COMMANDS:
-        _fail("command", f"must be one of {COMMANDS}, got {config.command!r}", where("command"))
-    if config.kind not in KINDS:
-        _fail("kind", f"must be one of {KINDS}, got {config.kind!r}", where("kind"))
-    if config.format not in FORMATS:
-        _fail("format", f"must be one of {FORMATS}, got {config.format!r}", where("format"))
-    if not config.n_steps or any(n < 1 for n in config.n_steps):
-        _fail("n_steps", f"must be positive integers, got {config.n_steps}", where("n_steps"))
-    if config.beta < 0.0:
-        _fail("beta", f"must be >= 0, got {config.beta}", where("beta"))
+    for key in _FIELDS.values():
+        value = getattr(config, key.name)
+        if "check" in key.metadata and not key.metadata["check"](value):
+            _fail(key.name, f"{key.metadata['requirement']}, got {value!r}", lines.get(key.name))
     if config.command == "certify" and config.beta != EXPERIMENT_BETA:
         message = f"certify compares against points measured at beta = {EXPERIMENT_BETA}"
-        _fail("beta", f"{message}, got {config.beta}", where("beta"))
-    if config.spam and config.kind == "incoherent":
-        _fail("spam", "readout error is modelled for coherent protocols only", where("spam"))
-    if config.omega_start <= 0.0:
-        _fail("omega_start", f"must be > 0, got {config.omega_start}", where("omega_start"))
-    if config.omega_end <= 0.0:
-        _fail("omega_end", f"must be > 0, got {config.omega_end}", where("omega_end"))
-    if config.runs < 1:
-        _fail("runs", f"must be >= 1, got {config.runs}", where("runs"))
-    if config.resamples < 2:
-        _fail("resamples", f"must be >= 2, got {config.resamples}", where("resamples"))
-    if not 0 <= config.seed < 2**64:
-        _fail("seed", f"must be a 64-bit unsigned integer, got {config.seed}", where("seed"))
-    if config.workers < 1:
-        _fail("workers", f"must be >= 1, got {config.workers}", where("workers"))
-    for key in ("spam_bright", "spam_dark"):
-        value = getattr(config, key)
-        if not 0.0 <= value < 0.5:
-            _fail(key, f"must lie in [0, 0.5), got {value}", where(key))
-    if config.threshold <= 0.0:
-        _fail("threshold", f"must be > 0, got {config.threshold}", where("threshold"))
-    if any(b < 0.0 for b in config.betas):
-        _fail("betas", f"must be >= 0, got {config.betas}", where("betas"))
-    if config.shots < 1:
-        _fail("shots", f"must be >= 1, got {config.shots}", where("shots"))
-    if not math.isfinite(config.target_theta):
-        _fail("target_theta", "must be finite", where("target_theta"))
+        _fail("beta", f"{message}, got {config.beta}", lines.get("beta"))
+    if config.spam and config.kind == INCOHERENT:
+        _fail("spam", "readout error is modelled for coherent protocols only", lines.get("spam"))

@@ -23,6 +23,7 @@ bit-for-bit identical no matter how the runs are split across workers.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ from .qubit import ThermalSpec
 
 COHERENT = "coherent"
 INCOHERENT = "incoherent"
+KINDS = (COHERENT, INCOHERENT)
 
 # Operator norm of the Hamiltonian change for the coherent ramp
 # (-sigma_z/2 -> +sigma_y/2).
@@ -83,7 +85,7 @@ class ProtocolSpec:
     omega_end: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in (COHERENT, INCOHERENT):
+        if self.kind not in KINDS:
             raise ValueError(f"kind must be '{COHERENT}' or '{INCOHERENT}', got {self.kind!r}")
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
@@ -379,7 +381,8 @@ def sample_work(
     one uniform (SPAM-perturbed when ``spam`` is given).  Each run owns a
     fixed slice of a counter-based random stream, so any partition of the
     runs across ``workers`` yields the same totals as a single-worker
-    execution.
+    execution.  The ``workers`` chunks run on at most ``os.cpu_count()``
+    threads.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -389,7 +392,7 @@ def sample_work(
 
     bounds = np.linspace(0, runs, min(workers, runs) + 1).astype(int)
     chunks = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
         results = list(pool.map(lambda chunk: _sample_chunk(table, seed, *chunk), chunks))
     totals, first_counts, flip_counts = zip(*results)
     return WorkSampleSet.from_totals(

@@ -2,15 +2,56 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qfdr.cli import main
-from qfdr.config import ConfigError, build_config, parse_document
+from qfdr import cli
+from qfdr.analytics import temperature_profile
+from qfdr.cli import load_config, main
+from qfdr.config import COMMANDS, FORMATS, ConfigError, RunConfig, build_config, parse_document
 from qfdr.io import read_csv_table, read_samples, render_csv
+from qfdr.protocol import KINDS
 from qfdr.stats import bootstrap_q, estimate_from_samples
 from qfdr.qubit import ThermalSpec
+
+# a valid value for every key but command; certify is left out of the
+# commands because it accepts only the measured beta
+VALID_VALUES = {
+    "kind": st.sampled_from(KINDS),
+    "n_steps": st.lists(st.integers(1, 500), min_size=1, max_size=4),
+    "beta": st.floats(0.0, 50.0),
+    "omega_start": st.floats(0.01, 50.0),
+    "omega_end": st.floats(0.01, 50.0),
+    "runs": st.integers(1, 10**6),
+    "resamples": st.integers(2, 1000),
+    "seed": st.integers(0, 2**64 - 1),
+    "workers": st.integers(1, 64),
+    "spam": st.booleans(),
+    "spam_bright": st.floats(0.0, 0.5, exclude_max=True),
+    "spam_dark": st.floats(0.0, 0.5, exclude_max=True),
+    "threshold": st.floats(1e-3, 100.0),
+    "include_experiment": st.booleans(),
+    "betas": st.lists(st.floats(0.0, 50.0), max_size=4),
+    "target_theta": st.floats(-10.0, 10.0),
+    "shots": st.integers(1, 10**6),
+    "output": st.sampled_from(["", "out.csv", "runs/a b.json"]),
+    "format": st.sampled_from(FORMATS),
+}
+
+
+def _text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def _flag(key: str, value) -> str:
+    name = key.replace("_", "-")
+    if isinstance(value, bool):
+        return f"--{name}" if value else f"--no-{name}"
+    return f"--{name}={_text(value)}"
 
 
 class TestParseDocument:
@@ -67,6 +108,65 @@ class TestBuildConfig:
     def test_command_required(self):
         with pytest.raises(ConfigError, match="command"):
             build_config({}, {})
+
+
+class TestConfigSources:
+    """A document, flags and typed library overrides take one conversion."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from([c for c in COMMANDS if c != "certify"]),
+        values=st.fixed_dictionaries({}, optional=VALID_VALUES),
+    )
+    def test_sources_agree_on_valid_values(self, command, values):
+        assume(not (values.get("spam") and values.get("kind") == "incoherent"))
+        document = "".join(f"{key} = {_text(value)}\n" for key, value in values.items())
+        from_file = build_config(parse_document(f"command = {command}\n{document}"))
+        from_flags = load_config([command, *(_flag(key, value) for key, value in values.items())])
+        typed = build_config({}, {"command": command, **values})
+        assert from_file == from_flags == typed
+        for key, value in values.items():
+            assert getattr(typed, key) == value
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("beta", float("nan")),
+            ("omega_end", float("inf")),
+            ("runs", 5.5),
+            ("runs", True),
+            ("seed", 3.0),
+            ("beta", True),
+            ("seed", -1),
+            ("spam_bright", 0.5),
+            ("n_steps", [2, 0]),
+            ("kind", "thermal"),
+        ],
+    )
+    def test_invalid_value_named_from_every_source(self, key, value):
+        text = _text(value)
+        with pytest.raises(ConfigError, match=rf"^{key}: .*\(line 2\)$"):
+            build_config(parse_document(f"command = analytic\n{key} = {text}\n"))
+        with pytest.raises(ConfigError, match=rf"^{key}: "):
+            load_config(["analytic", _flag(key, text)])
+        with pytest.raises(ConfigError, match=rf"^{key}: "):
+            build_config({}, {"command": "analytic", key: value})
+
+    def test_typed_scalar_step_count_is_a_list(self):
+        assert build_config({}, {"command": "analytic", "n_steps": 3}).n_steps == [3]
+
+    def test_help_lists_every_key(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        for key in fields(RunConfig)[1:]:
+            assert f"--{key.name.replace('_', '-')}" in out
+        for command in COMMANDS:
+            assert command in out
+
+    def test_every_command_has_a_handler(self):
+        assert set(cli._HANDLERS) == set(COMMANDS)
 
 
 class TestAnalyticCommand:
@@ -194,6 +294,20 @@ class TestTemperatureProfileCommand:
         betas = [float(r["beta"]) for r in rows]
         assert betas[0] == 0.0 and values[0] == 0.0
         assert values == sorted(values)
+
+    def test_one_block_per_step_count(self, tmp_path):
+        out = tmp_path / "profile.csv"
+        betas = [0.0, 1.5, 3.413]
+        assert main(["temperature-profile", "--n-steps", "2,3", "--betas", "0,1.5,3.413",
+                     "--output", str(out)]) == 0
+        _, rows = read_csv_table(out)
+        expected = [(n, estimate) for n in (2, 3) for estimate in temperature_profile(n, betas)]
+        assert len(rows) == len(expected)
+        for row, (n, estimate) in zip(rows, expected):
+            assert int(row["n_steps"]) == n
+            assert float(row["beta"]) == estimate.beta
+            assert float(row["q_value"]) == estimate.q_value
+            assert float(row["nq_rescaled"]) == estimate.rescaled
 
 
 class TestCalibrateCommand:

@@ -1,6 +1,7 @@
 """Protocol engine: exact step tables, readout-error transform, seeded sampling."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -244,6 +245,33 @@ class TestSampleWork:
         serial = sample_work(spec, None, runs=700, seed=12)
         parallel = sample_work(spec, None, runs=700, seed=12, workers=4)
         np.testing.assert_array_equal(serial.totals, parallel.totals)
+
+    def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
+        """More workers than cores queue their chunks on a pool of cpu_count
+        threads; the run partition, and so every total, stays as asked."""
+        pool_sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("qfdr.protocol.ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = ProtocolSpec.coherent(4, EXPERIMENT)
+        serial = sample_work(spec, None, runs=1000, seed=9)
+        capped = sample_work(spec, None, runs=1000, seed=9, workers=16)
+        assert pool_sizes == [1, 2]
+        np.testing.assert_array_equal(serial.totals, capped.totals)
+        np.testing.assert_array_equal(serial.flip_counts, capped.flip_counts)
 
     def test_ground_state_work_is_non_negative(self):
         cold = ThermalSpec.from_beta(math.inf)
