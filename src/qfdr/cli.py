@@ -69,6 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfdr",
         description="Work-statistics simulator and certification toolkit for a driven qubit.",
+        epilog="A value that starts with '-' and is not a plain decimal (say, one in "
+        "exponent form) must be given as --key=value, for example --target-theta=-1e-05.",
     )
     parser.add_argument("command", nargs="?", choices=COMMANDS, help="what to run")
     parser.add_argument("--config", help="key=value configuration file")

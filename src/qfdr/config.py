@@ -1,9 +1,10 @@
 """Run configuration: key=value documents, flag overrides, validation.
 
 A configuration document is plain text with one ``key = value`` pair per
-line; blank lines and '#' comments are ignored.  Command-line flags override
-file keys one for one.  Unknown keys and out-of-range values are rejected
-with the offending key (and line, for file input) named in the error.
+line, each key at most once; blank lines and '#' comments are ignored.
+Command-line flags override file keys one for one.  Unknown keys and
+out-of-range values are rejected with the offending key (and line, for file
+input) named in the error.
 """
 
 from __future__ import annotations
@@ -84,6 +85,9 @@ def parse_document(text: str) -> dict[str, tuple[str, int]]:
         value = value.strip()
         if not key:
             raise ConfigError(f"malformed line {line_number}: empty key")
+        if key in assignments:
+            first = assignments[key][1]
+            raise ConfigError(f"{key}: set on line {first} and again on line {line_number}")
         assignments[key] = (value, line_number)
     return assignments
 

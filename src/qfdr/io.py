@@ -3,7 +3,8 @@
 All floats are written with 17 significant digits and '.' decimals so that
 re-running a command with the same configuration and seed yields
 byte-identical files, and re-parsing plus re-emitting any table is the
-identity.
+identity.  Sample files are written and read per distinct work level (a
+run total takes one of a few), not per row.
 """
 
 from __future__ import annotations
@@ -18,20 +19,19 @@ from .qubit import ThermalSpec
 
 
 def format_value(value) -> str:
+    # floats first: they fill most cells, and no float is a bool or an int
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
     return str(value)
 
 
 def render_csv(fieldnames: list[str], rows: list[dict]) -> str:
-    lines = [",".join(fieldnames)]
-    for row in rows:
-        lines.append(",".join(format_value(row[name]) for name in fieldnames))
-    return "\n".join(lines) + "\n"
+    columns = [[format_value(row[name]) for row in rows] for name in fieldnames]
+    return "\n".join([",".join(fieldnames), *map(",".join, zip(*columns))]) + "\n"
 
 
 def render_json(rows: list[dict]) -> str:
@@ -58,10 +58,14 @@ def write_table(path: Path, fieldnames: list[str], rows: list[dict], fmt: str = 
         raise ValueError(f"unknown format {fmt!r}")
 
 
+def _table_lines(lines: list[str]) -> list[str]:
+    """The header and data lines of a CSV: no blank or '#' comment lines."""
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def read_csv_table(path: Path) -> tuple[list[str], list[dict]]:
     """Parse an emitted CSV back into (fieldnames, rows of strings)."""
-    lines = Path(path).read_text().splitlines()
-    body = [line for line in lines if line and not line.startswith("#")]
+    body = _table_lines(Path(path).read_text().splitlines())
     fieldnames = body[0].split(",")
     rows = [dict(zip(fieldnames, line.split(","))) for line in body[1:]]
     return fieldnames, rows
@@ -88,11 +92,9 @@ def write_samples(path: Path, samples: WorkSampleSet) -> None:
         header["spam_bright"] = samples.spam.p_bright_given_0
         header["spam_dark"] = samples.spam.p_dark_given_1
     lines = [f"# {key}={format_value(value)}" for key, value in header.items()]
-    rows = [
-        {"run_index": i, "total_work": float(w)}
-        for i, w in enumerate(samples.totals)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n" + render_csv(SAMPLES_FIELDS, rows))
+    level_text = [format_value(level) for level in samples.levels.tolist()]
+    rows = [f"{i},{level_text[code]}" for i, code in enumerate(samples.codes.tolist())]
+    Path(path).write_text("\n".join([*lines, ",".join(SAMPLES_FIELDS), *rows]) + "\n")
 
 
 def read_samples(path: Path) -> WorkSampleSet:
@@ -116,17 +118,11 @@ def read_samples(path: Path) -> WorkSampleSet:
             p_bright_given_0=float(header["spam_bright"]),
             p_dark_given_1=float(header["spam_dark"]),
         )
-    _, rows = read_csv_table(path)
-    totals = np.array([float(r["total_work"]) for r in rows])
-    return WorkSampleSet.from_totals(
-        totals,
-        first_excited_counts=np.array(
-            [int(c) for c in header["first_excited_counts"].split(",")], dtype=np.int64
-        ),
-        flip_counts=np.array(
-            [int(c) for c in header["flip_counts"].split(",")], dtype=np.int64
-        ),
-        seed=int(header["seed"]),
-        spec=spec,
-        spam=spam,
-    )
+    body = _table_lines(lines)
+    column = body[0].split(",").index("total_work")
+    texts = [line.split(",")[column] for line in body[1:]]
+    parsed = {text: float(text) for text in set(texts)}
+    counts = {key: np.array(header[key].split(","), dtype=np.int64)
+              for key in ("first_excited_counts", "flip_counts")}
+    return WorkSampleSet.from_totals(np.array([parsed[text] for text in texts]), **counts,
+                                     seed=int(header["seed"]), spec=spec, spam=spam)

@@ -381,8 +381,8 @@ def sample_work(
     one uniform (SPAM-perturbed when ``spam`` is given).  Each run owns a
     fixed slice of a counter-based random stream, so any partition of the
     runs across ``workers`` yields the same totals as a single-worker
-    execution.  The ``workers`` chunks run on at most ``os.cpu_count()``
-    threads.
+    execution.  The runs are split into at most ``os.cpu_count()`` chunks,
+    one per thread.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -390,9 +390,9 @@ def sample_work(
         raise ValueError(f"workers must be >= 1, got {workers}")
     table = step_table(spec, spam)
 
-    bounds = np.linspace(0, runs, min(workers, runs) + 1).astype(int)
+    bounds = np.linspace(0, runs, min(workers, runs, os.cpu_count() or 1) + 1).astype(int)
     chunks = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         results = list(pool.map(lambda chunk: _sample_chunk(table, seed, *chunk), chunks))
     totals, first_counts, flip_counts = zip(*results)
     return WorkSampleSet.from_totals(

@@ -70,6 +70,15 @@ class TestParseDocument:
         with pytest.raises(ConfigError, match="empty key"):
             parse_document("= 3\n")
 
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        text = "command = simulate\nruns = 10\nruns = 20\n"
+        with pytest.raises(ConfigError, match=r"^runs: set on line 2 and again on line 3$"):
+            parse_document(text)
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        assert main(["--config", str(config)]) == 2
+        assert "runs: set on line 2 and again on line 3" in capsys.readouterr().err
+
 
 class TestBuildConfig:
     def test_defaults_applied(self):
@@ -164,6 +173,16 @@ class TestConfigSources:
             assert f"--{key.name.replace('_', '-')}" in out
         for command in COMMANDS:
             assert command in out
+
+    def test_exponent_value_with_minus_takes_the_equals_form(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "--target-theta=-1e-05" in " ".join(capsys.readouterr().out.split())
+        assert load_config(["calibrate", "--target-theta=-1e-05"]).target_theta == -1e-05
+        with pytest.raises(SystemExit) as exit_info:
+            load_config(["calibrate", "--target-theta", "-1e-05"])
+        assert exit_info.value.code == 2
 
     def test_every_command_has_a_handler(self):
         assert set(cli._HANDLERS) == set(COMMANDS)

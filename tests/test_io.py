@@ -1,0 +1,134 @@
+"""Table emission round trips and the work-samples file format."""
+
+import json
+import string
+import tempfile
+from itertools import zip_longest
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qfdr.io import (
+    SAMPLES_FIELDS,
+    format_value,
+    read_csv_table,
+    read_samples,
+    render_csv,
+    render_json,
+    write_samples,
+)
+from qfdr.protocol import ProtocolSpec, SpamModel, sample_work
+from qfdr.qubit import ThermalSpec
+
+# cell text that survives a CSV line: no comma, no line break, no leading '#'
+CELL_TEXT = st.text(string.ascii_letters + string.digits + "_-. ", min_size=1)
+CELLS = st.one_of(
+    CELL_TEXT,
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.booleans(),
+)
+
+
+@st.composite
+def tables(draw):
+    fieldnames = draw(st.lists(st.text(string.ascii_lowercase + "_", min_size=1),
+                               min_size=1, max_size=5, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({name: CELLS for name in fieldnames}),
+                         max_size=20))
+    return fieldnames, rows
+
+
+@st.composite
+def sample_setups(draw):
+    thermal = ThermalSpec.from_beta(draw(st.floats(0.0, 10.0)))
+    n_steps = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        spam = draw(st.none() | st.builds(SpamModel, st.floats(0.0, 0.49), st.floats(0.0, 0.49)))
+        return ProtocolSpec.coherent(n_steps, thermal), spam
+    omega_start = draw(st.floats(0.05, 20.0))
+    omega_end = draw(st.just(omega_start) | st.floats(0.05, 20.0))
+    return ProtocolSpec.incoherent(n_steps, thermal, omega_start, omega_end), None
+
+
+def _assert_same_text(actual: str, expected: str) -> None:
+    """Report the first differing line only: pytest's full diff of two texts
+    of thousands of lines takes minutes, and hypothesis repeats it while
+    shrinking."""
+    pairs = zip_longest(actual.splitlines(), expected.splitlines())
+    first = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
+    assert first is None, f"line {first + 1} differs"
+    assert actual == expected  # line endings
+
+
+def _per_row_rendering(samples) -> str:
+    """The samples table as first written, one dict per row."""
+    rows = [{"run_index": i, "total_work": float(w)} for i, w in enumerate(samples.totals)]
+    return render_csv(SAMPLES_FIELDS, rows)
+
+
+class TestTables:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(table=tables())
+    def test_csv_round_trip_is_the_identity(self, table):
+        fieldnames, rows = table
+        text = render_csv(fieldnames, rows)
+        # the row-at-a-time rendering
+        reference = ",".join(fieldnames) + "\n" + "".join(
+            ",".join(format_value(row[name]) for name in fieldnames) + "\n" for row in rows
+        )
+        assert text == reference
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "table.csv"
+            path.write_text(text)
+            parsed_names, parsed_rows = read_csv_table(path)
+        assert parsed_names == fieldnames
+        assert parsed_rows == [{name: format_value(row[name]) for name in fieldnames}
+                               for row in rows]
+        assert render_csv(parsed_names, parsed_rows) == text
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(table=tables())
+    def test_json_round_trip_is_the_identity(self, table):
+        _, rows = table
+        text = render_json(rows)
+        assert json.loads(text) == rows
+        assert render_json(json.loads(text)) == text
+
+    def test_bools_and_numpy_scalars(self):
+        rows = [{"pass": True, "n": np.int64(3), "x": np.float64(0.1), "y": np.float32(0.5)},
+                {"pass": False, "n": 7, "x": 1e-300, "y": "nan"}]
+        assert render_csv(["pass", "n", "x", "y"], rows) == (
+            "pass,n,x,y\ntrue,3,0.10000000000000001,0.5\nfalse,7,1e-300,nan\n"
+        )
+        assert json.loads(render_json(rows))[0] == {"pass": True, "n": 3, "x": 0.1, "y": 0.5}
+
+
+class TestSamplesFile:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(setup=sample_setups(), runs=st.integers(1, 3000), seed=st.integers(0, 2**64 - 1))
+    def test_bytes_and_round_trip(self, setup, runs, seed):
+        spec, spam = setup
+        samples = sample_work(spec, spam, runs, seed)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "samples.csv"
+            write_samples(path, samples)
+            text = path.read_text()
+            read = read_samples(path)
+            write_samples(path, read)
+            _assert_same_text(path.read_text(), text)
+
+        lines = text.splitlines(keepends=True)
+        n_header = sum(line.startswith("# ") for line in lines)
+        assert all(line.startswith("# ") for line in lines[:n_header])
+        _assert_same_text("".join(lines[n_header:]), _per_row_rendering(samples))
+
+        np.testing.assert_array_equal(read.levels, samples.levels)
+        np.testing.assert_array_equal(read.codes, samples.codes)
+        assert read.codes.dtype == samples.codes.dtype
+        np.testing.assert_array_equal(read.first_excited_counts, samples.first_excited_counts)
+        np.testing.assert_array_equal(read.flip_counts, samples.flip_counts)
+        assert read.first_excited_counts.dtype == read.flip_counts.dtype == np.int64
+        assert (read.seed, read.spec, read.spam) == (seed, spec, spam)

@@ -2,6 +2,7 @@
 
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -247,9 +248,10 @@ class TestSampleWork:
         np.testing.assert_array_equal(serial.totals, parallel.totals)
 
     def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
-        """More workers than cores queue their chunks on a pool of cpu_count
-        threads; the run partition, and so every total, stays as asked."""
+        """More workers than cores split the runs into cpu_count chunks on a
+        pool of as many threads; every total stays as at one worker."""
         pool_sizes = []
+        chunk_counts = []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -262,6 +264,7 @@ class TestSampleWork:
                 return False
 
             def map(self, fn, items):
+                chunk_counts.append(len(items))
                 return map(fn, items)
 
         monkeypatch.setattr("qfdr.protocol.ThreadPoolExecutor", SerialPool)
@@ -270,8 +273,33 @@ class TestSampleWork:
         serial = sample_work(spec, None, runs=1000, seed=9)
         capped = sample_work(spec, None, runs=1000, seed=9, workers=16)
         assert pool_sizes == [1, 2]
+        assert chunk_counts == [1, 2]
         np.testing.assert_array_equal(serial.totals, capped.totals)
         np.testing.assert_array_equal(serial.flip_counts, capped.flip_counts)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        runs=st.integers(1, 2000),
+        workers=st.integers(1, 8),
+        n_steps=st.integers(1, 8),
+        kind=st.sampled_from(["coherent", "coherent+spam", "incoherent"]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_any_partition_gives_the_serial_samples(self, runs, workers, n_steps, kind, seed):
+        """Up to 8 chunks on up to 8 threads, the core count raised to 8 so
+        the partition follows ``workers`` on any machine."""
+        if kind == "incoherent":
+            spec, spam = ProtocolSpec.incoherent(n_steps, EXPERIMENT, 1.0, 2.0), None
+        else:
+            spam = SpamModel(0.004, 0.01) if kind == "coherent+spam" else None
+            spec = ProtocolSpec.coherent(n_steps, EXPERIMENT)
+        serial = sample_work(spec, spam, runs, seed)
+        with mock.patch("os.cpu_count", return_value=8):
+            parallel = sample_work(spec, spam, runs, seed, workers=workers)
+        np.testing.assert_array_equal(serial.levels, parallel.levels)
+        np.testing.assert_array_equal(serial.codes, parallel.codes)
+        np.testing.assert_array_equal(serial.first_excited_counts, parallel.first_excited_counts)
+        np.testing.assert_array_equal(serial.flip_counts, parallel.flip_counts)
 
     def test_ground_state_work_is_non_negative(self):
         cold = ThermalSpec.from_beta(math.inf)
