@@ -26,7 +26,6 @@ from .protocol import (
     WorkSampleSet,
     apply_spam,
     coherent_step_distribution,
-    incoherent_step_distribution,
     sample_work,
 )
 from .qubit import ThermalSpec, gibbs_state, population_to_beta, rotation
@@ -69,7 +68,6 @@ __all__ = [
     "gibbs_state",
     "incoherent_correction",
     "incoherent_region_sweep",
-    "incoherent_step_distribution",
     "load_reference_points",
     "population_to_beta",
     "quantum_correction",

@@ -15,7 +15,10 @@ fixed endpoints, and readout errors alone produce a spurious correction that
 grows linearly in N.  All three scalings are exposed here, together with the
 (inverse speed, rescaled correction) sweep that maps out the region
 attainable by incoherent protocols.  Both incoherent paths share one
-vectorised closed form for the work cumulants, ``incoherent_cumulants``.
+vectorised closed form for the work cumulants, ``incoherent_cumulants``,
+built on the ramp law ``protocol.ramp_occupations`` (beta omega capped at
+700) that the step tables use too, and one free-energy change,
+``delta_free_energy``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .protocol import (
     INCOHERENT,
     ProtocolSpec,
     SpamModel,
+    ramp_occupations,
 )
 from .qubit import ThermalSpec
 
@@ -117,31 +121,25 @@ def coherent_cumulants(spec: ProtocolSpec) -> tuple[float, float]:
     return n * t * s, n * s * (1.0 - s * t * t)
 
 
-def delta_free_energy(spec: ProtocolSpec) -> float:
-    """Equilibrium free-energy change between the protocol endpoints.
+def delta_free_energy(
+    beta: float, omega_start: float, omega_end: float | np.ndarray
+) -> float | np.ndarray:
+    """Equilibrium free-energy change of an incoherent ramp's endpoints.
 
-    The coherent drive only rotates the eigenbasis, so its spectrum and hence
-    dF are unchanged: exactly zero.  For the incoherent ramp the two-level
-    partition function Z = 2 cosh(beta omega / 2) gives
+    The two-level partition function Z = 2 cosh(beta omega / 2) gives
 
         dF = -(1/beta) ln[ cosh(beta omega_end / 2) / cosh(beta omega_start / 2) ]
 
-    with the beta -> 0 limit dF = 0.
+    elementwise over an array ``omega_end``, with the beta -> 0 limit dF = 0.
+    The coherent drive only rotates the eigenbasis, so its dF is exactly 0.
     """
-    if spec.kind == COHERENT:
-        return 0.0
-    beta = spec.thermal.beta
     if beta == 0.0:
-        return 0.0
-    return -(1.0 / beta) * (
-        _log_cosh(beta * spec.omega_end / 2.0) - _log_cosh(beta * spec.omega_start / 2.0)
-    )
-
-
-def _log_cosh(x: float) -> float:
-    # overflow-safe log(cosh(x)) for large arguments
-    ax = abs(x)
-    return ax + math.log1p(math.exp(-2.0 * ax)) - math.log(2.0)
+        return np.zeros_like(omega_end, dtype=np.float64)
+    x_start, x_end = beta * omega_start / 2.0, beta * np.asarray(omega_end) / 2.0
+    # overflow-safe log(cosh(x)) = logaddexp(x, -x) - log 2
+    log_cosh_start = np.logaddexp(x_start, -x_start) - math.log(2.0)
+    log_cosh_end = np.logaddexp(x_end, -x_end) - math.log(2.0)
+    return -(log_cosh_end - log_cosh_start) / beta
 
 
 def quantum_correction(spec: ProtocolSpec) -> FdrEstimate:
@@ -173,9 +171,7 @@ def incoherent_cumulants(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance of the total work of an N-quench incoherent ramp.
 
-    With delta = (omega_end - omega_start) / N and the excited occupation
-    f_j = 1 / (1 + exp(beta omega_j)) at gap omega_j = omega_start + j delta
-    (beta omega_j capped at 700),
+    With delta and the excited occupations f_j of ``ramp_occupations``,
 
         <W> = sum_j delta (f_j - 1/2),   Var(W) = sum_j delta^2 f_j (1 - f_j),
 
@@ -183,10 +179,7 @@ def incoherent_cumulants(
     for two or more entries, so an entry does not depend on its neighbours,
     but pairwise for one: scalar and array calls agree to rounding only.
     """
-    omega_end = np.asarray(omega_end, dtype=np.float64)
-    delta = (omega_end - omega_start) / n
-    gaps = omega_start + np.multiply.outer(np.arange(n), delta)
-    occupied = 1.0 / (1.0 + np.exp(np.minimum(beta * gaps, 700.0)))
+    delta, occupied = ramp_occupations(beta, omega_start, omega_end, n)
     mean = np.sum(delta * (occupied - 0.5), axis=0)
     var = np.sum(delta**2 * occupied * (1.0 - occupied), axis=0)
     return mean, var
@@ -209,7 +202,7 @@ def incoherent_correction(spec: ProtocolSpec) -> FdrEstimate:
         mean_work=float(mean),
         var_work=float(var),
         beta=beta,
-        delta_f=delta_free_energy(spec),
+        delta_f=float(delta_free_energy(beta, spec.omega_start, spec.omega_end)),
         n_steps=spec.n_steps,
         norm_dh=spec.norm_dh,
         source=ANALYTIC,
@@ -321,8 +314,8 @@ def incoherent_region_sweep(
     n_grid = np.asarray(n_grid, dtype=np.int64)
     if omega_f_grid.size == 0 or n_grid.size == 0:
         raise ValueError("sweep grids must be non-empty")
-    if np.any(omega_f_grid <= 0.0):
-        raise ValueError("omega_f grid entries must be positive")
+    if not np.all((omega_f_grid > 0.0) & (omega_f_grid < math.inf)):
+        raise ValueError("omega_f grid entries must be finite and positive")
 
     degenerate = omega_f_grid == omega_start
     skipped = int(degenerate.sum()) * int(n_grid.size)
@@ -330,12 +323,7 @@ def incoherent_region_sweep(
 
     cumulants = np.array([incoherent_cumulants(beta, omega_start, omega_f, n) for n in n_grid])
     mean, var = cumulants[:, 0], cumulants[:, 1]
-    if beta > 0.0:
-        delta_f = -(np.logaddexp(beta * omega_f / 2.0, -beta * omega_f / 2.0)
-                    - math.log(2.0) - _log_cosh(beta * omega_start / 2.0)) / beta
-    else:
-        delta_f = np.zeros_like(omega_f)
-    q = beta / 2.0 * var - (mean - delta_f)
+    q = beta / 2.0 * var - (mean - delta_free_energy(beta, omega_start, omega_f))
     norm = np.abs(omega_f - omega_start) / 2.0
     n = n_grid[:, None]
     v_inv = (n / norm).ravel()

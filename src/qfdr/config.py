@@ -1,7 +1,9 @@
 """Run configuration: key=value documents, flag overrides, validation.
 
 A configuration document is plain text with one ``key = value`` pair per
-line, each key at most once; blank lines and '#' comments are ignored.
+line, each key at most once; blank lines and comments are ignored.  A '#'
+opens a comment at the start of a line or after whitespace, so a value such
+as ``out#1.csv`` keeps its '#'.
 Command-line flags override file keys one for one.  Unknown keys and
 out-of-range values are rejected with the offending key (and line, for file
 input) named in the error.
@@ -10,6 +12,7 @@ input) named in the error.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 
 from .protocol import COHERENT, INCOHERENT, KINDS
@@ -75,7 +78,7 @@ def parse_document(text: str) -> dict[str, tuple[str, int]]:
     """Split a key=value document into raw assignments with line numbers."""
     assignments: dict[str, tuple[str, int]] = {}
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw_line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -10,7 +10,9 @@ Two protocol families are supported:
 * incoherent: the gap is ramped from omega_start to omega_end in N quenches
   with the eigenbasis pinned to sigma_z.  A step thermalized at gap omega_j
   yields w = +delta/2 with the thermal occupation of the excited level and
-  w = -delta/2 otherwise, delta being the gap increment.
+  w = -delta/2 otherwise, delta being the gap increment.  The one ramp law,
+  ``ramp_occupations``, gives those occupations (beta omega_j capped at 700)
+  to the step tables and to the closed-form cumulants alike.
 
 Thermal resets make the steps statistically independent, so a trajectory
 total is just a sum of independent draws from the per-step tables.  One
@@ -90,8 +92,8 @@ class ProtocolSpec:
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
         if self.kind == INCOHERENT:
-            if self.omega_start <= 0.0 or self.omega_end <= 0.0:
-                raise ValueError("incoherent gaps must be positive")
+            if not (0.0 < self.omega_start < math.inf and 0.0 < self.omega_end < math.inf):
+                raise ValueError("incoherent gaps must be finite and positive")
 
     @classmethod
     def coherent(cls, n_steps: int, thermal: ThermalSpec) -> "ProtocolSpec":
@@ -115,19 +117,6 @@ class ProtocolSpec:
         if self.kind != COHERENT:
             raise ValueError("step_angle is defined for coherent protocols only")
         return math.pi / (2.0 * self.n_steps)
-
-    @property
-    def gap_step(self) -> float:
-        """Per-step gap increment of the incoherent protocol."""
-        if self.kind != INCOHERENT:
-            raise ValueError("gap_step is defined for incoherent protocols only")
-        return (self.omega_end - self.omega_start) / self.n_steps
-
-    def gap(self, step_index: int) -> float:
-        """Gap omega_j = omega_start + (omega_end - omega_start) * j / N."""
-        if self.kind != INCOHERENT:
-            raise ValueError("gap(j) is defined for incoherent protocols only")
-        return self.omega_start + self.gap_step * step_index
 
     @property
     def norm_dh(self) -> float:
@@ -156,9 +145,10 @@ class StepWorkDistribution:
         object.__setattr__(self, "probs", probs)
         if works.shape != probs.shape or works.ndim != 1:
             raise ValueError("works and probs must be 1-d arrays of equal length")
-        if np.any(probs < -PROB_ATOL):
-            raise ValueError(f"negative probability in {probs}")
-        if abs(probs.sum() - 1.0) > PROB_ATOL:
+        # written so that a NaN fails the checks
+        if not np.all(probs >= -PROB_ATOL):
+            raise ValueError(f"negative or NaN probability in {probs}")
+        if not abs(probs.sum() - 1.0) <= PROB_ATOL:
             raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
 
     def mean(self) -> float:
@@ -186,55 +176,44 @@ def coherent_step_distribution(spec: ProtocolSpec) -> StepWorkDistribution:
     )
 
 
-def incoherent_step_distribution(spec: ProtocolSpec, step_index: int) -> StepWorkDistribution:
-    """Two-outcome work table of incoherent quench number ``step_index``.
+def ramp_occupations(
+    beta: float, omega_start: float, omega_end: float | np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gap increment and excited occupations of an N-quench incoherent ramp.
 
-    The qubit is thermalized at gap omega_j, then the gap jumps by delta with
-    the eigenbasis fixed, so the work is +delta/2 when the excited level was
-    occupied (probability exp(-beta omega_j) / (1 + exp(-beta omega_j))) and
-    -delta/2 otherwise.  A zero quench collapses to the single outcome w = 0.
+    delta = (omega_end - omega_start) / N and, at the gaps omega_j =
+    omega_start + j delta (j = 0 .. N-1), f_j = 1 / (1 + exp(beta omega_j))
+    with beta omega_j capped at 700.  ``f[j]`` is elementwise over an array
+    ``omega_end``.
     """
-    if spec.kind != INCOHERENT:
-        raise ValueError("incoherent_step_distribution requires an incoherent spec")
-    if not 0 <= step_index < spec.n_steps:
-        raise IndexError(f"step_index {step_index} outside [0, {spec.n_steps})")
-    delta = spec.gap_step
-    if delta == 0.0:
-        return StepWorkDistribution(works=np.array([0.0]), probs=np.array([1.0]))
-    p_excited = _excited_at_gap(spec.thermal.beta, spec.gap(step_index))
-    works = np.array([-delta / 2.0, delta / 2.0])
-    probs = np.array([1.0 - p_excited, p_excited])
-    order = np.argsort(works)
-    return StepWorkDistribution(works=works[order], probs=probs[order])
+    omega_end = np.asarray(omega_end, dtype=np.float64)
+    delta = (omega_end - omega_start) / n
+    gaps = omega_start + np.multiply.outer(np.arange(n), delta)
+    return delta, 1.0 / (1.0 + np.exp(np.minimum(beta * gaps, 700.0)))
 
 
-def _excited_at_gap(beta: float, omega: float) -> float:
-    e = math.exp(-min(beta * omega, 745.0))
-    return e / (1.0 + e)
-
-
-def apply_spam(dist: StepWorkDistribution, spam: SpamModel) -> StepWorkDistribution:
-    """Perturb a coherent step table by second-readout misclassification.
+def _readout_channel(spam: SpamModel) -> np.ndarray:
+    """Second-readout misclassification as a matrix on the works (-1, 0, +1).
 
     P'(+1) = (1 - p_dark_given_1) P(+1) + p_bright_given_0 P(0)
     P'(-1) = (1 - p_bright_given_0) P(-1) + p_dark_given_1 P(0)
 
-    and P'(0) takes the remainder.  Only defined on the coherent support
-    {-1, 0, +1}.
+    and P'(0) takes the remainder; each column sums to 1.
+    """
+    pb, pd = spam.p_bright_given_0, spam.p_dark_given_1
+    return np.array([[1.0 - pb, pd, 0.0], [pb, 1.0 - pb - pd, pd], [0.0, pb, 1.0 - pd]])
+
+
+def apply_spam(dist: StepWorkDistribution, spam: SpamModel) -> StepWorkDistribution:
+    """Perturb a coherent step table by ``_readout_channel``.
+
+    Only defined on the coherent support {-1, 0, +1}.
     """
     if dist.works.shape != (3,) or not np.array_equal(dist.works, [-1.0, 0.0, 1.0]):
         raise ValueError(
             "apply_spam supports coherent three-outcome tables with works (-1, 0, +1) only"
         )
-    p_minus, p_zero, p_plus = dist.probs
-    pb = spam.p_bright_given_0
-    pd = spam.p_dark_given_1
-    plus = (1.0 - pd) * p_plus + pb * p_zero
-    minus = (1.0 - pb) * p_minus + pd * p_zero
-    return StepWorkDistribution(
-        works=np.array([-1.0, 0.0, 1.0]),
-        probs=np.array([minus, 1.0 - plus - minus, plus]),
-    )
+    return StepWorkDistribution(works=dist.works, probs=_readout_channel(spam) @ dist.probs)
 
 
 @dataclass(frozen=True)
@@ -256,7 +235,8 @@ class StepTable:
         if self.works.size < 2 or self.probs.shape[1:] != (self.works.size, 2):
             raise ValueError("probs must have shape (n_steps, len(works) >= 2, 2)")
         row_sums = self.probs.sum(axis=(1, 2))
-        if np.any(self.probs < -PROB_ATOL) or np.any(abs(row_sums - 1.0) > PROB_ATOL):
+        # written so that a NaN fails the checks
+        if not (np.all(self.probs >= -PROB_ATOL) and np.all(abs(row_sums - 1.0) <= PROB_ATOL)):
             raise ValueError("every row of a step table must be a probability table")
 
 
@@ -266,10 +246,11 @@ def step_table(spec: ProtocolSpec, spam: SpamModel | None = None) -> StepTable:
     Coherent steps: the first readout is excited with the thermal occupation
     p and the pulse flips it with s = sin^2(pi/(4N)), so the (w, k) cells are
     (-1, 1) = p s, (0, 0) = (1-p)(1-s), (0, 1) = p(1-s), (+1, 0) = (1-p) s.
-    Readout error moves work outcomes through ``apply_spam``'s channel at
+    Readout error moves work outcomes through ``_readout_channel`` at
     either first readout, so the work marginal is ``apply_spam``'s table.
     Incoherent ramps get one row per quench: w = +delta/2 exactly when the
-    first readout finds the excited level occupied at gap omega_j.
+    first readout finds the excited level occupied at gap omega_j, with the
+    occupations of ``ramp_occupations``.
     """
     if spam is not None and not spam.is_trivial and spec.kind != COHERENT:
         raise ValueError("SPAM perturbation is supported for coherent protocols only")
@@ -281,16 +262,14 @@ def step_table(spec: ProtocolSpec, spam: SpamModel | None = None) -> StepTable:
         minus, zero, plus = coherent_step_distribution(spec).probs
         joint = np.array([[0.0, minus], [(1 - p) * zero, p * zero], [plus, 0.0]])
         if spam is not None:
-            pb, pd = spam.p_bright_given_0, spam.p_dark_given_1
-            channel = np.array([[1.0 - pb, pd, 0.0], [pb, 1.0 - pb - pd, pd], [0.0, pb, 1.0 - pd]])
-            joint = channel @ joint
+            joint = _readout_channel(spam) @ joint
         works = np.array([-1.0, 0.0, 1.0])
         return StepTable(works, np.broadcast_to(joint, (n, 3, 2)), flips=works != 0.0)
-    excited = np.array([_excited_at_gap(spec.thermal.beta, spec.gap(j)) for j in range(n)])
+    delta, excited = ramp_occupations(spec.thermal.beta, spec.omega_start, spec.omega_end, n)
     probs = np.zeros((n, 2, 2))
     probs[:, 0, 0] = 1.0 - excited
     probs[:, 1, 1] = excited
-    works = np.array([-0.5, 0.5]) * spec.gap_step
+    works = np.array([-0.5, 0.5]) * delta
     return StepTable(works, probs, flips=works > 0.0)
 
 

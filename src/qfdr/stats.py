@@ -84,7 +84,7 @@ def _fit_histogram(
         delta_f = 0.0
     else:
         beta = spec.thermal.beta
-        delta_f = delta_free_energy(spec)
+        delta_f = float(delta_free_energy(beta, spec.omega_start, spec.omega_end))
     return make_estimate(
         mean_work=mean,
         var_work=variance,

@@ -80,6 +80,18 @@ class TestParseDocument:
         assert "runs: set on line 2 and again on line 3" in capsys.readouterr().err
 
 
+    def test_hash_opens_a_comment_only_at_line_start_or_after_whitespace(self, tmp_path):
+        text = "command = analytic\nruns = 10 # ten\n  # indented\noutput = out#1.csv\n"
+        values = parse_document(text)
+        assert values["runs"] == ("10", 2)
+        assert values["output"] == ("out#1.csv", 4)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"command = analytic\nruns = 10\t# ten\noutput = {tmp_path}/out#1.csv\n")
+        assert load_config(["--config", str(config)]).runs == 10
+        assert main(["--config", str(config)]) == 0
+        assert (tmp_path / "out#1.csv").is_file() and not (tmp_path / "out").exists()
+
+
 class TestBuildConfig:
     def test_defaults_applied(self):
         config = build_config({}, {"command": "analytic", "n_steps": "5", "beta": 3.413})

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfdr.analytics import coherent_cumulants, incoherent_cumulants
+from qfdr.analytics import coherent_cumulants, incoherent_correction, incoherent_cumulants
 from qfdr.protocol import (
     COHERENT_NORM_DH,
     PROB_ATOL,
@@ -18,8 +18,9 @@ from qfdr.protocol import (
     StepWorkDistribution,
     WorkSampleSet,
     apply_spam,
+    StepTable,
     coherent_step_distribution,
-    incoherent_step_distribution,
+    ramp_occupations,
     run_distribution,
     sample_work,
     step_table,
@@ -51,14 +52,17 @@ class TestProtocolSpec:
         assert incoherent.speed == 0.05
 
     def test_gap_schedule(self):
-        spec = ProtocolSpec.incoherent(4, EXPERIMENT, 1.0, 3.0)
-        np.testing.assert_allclose([spec.gap(j) for j in range(4)], [1.0, 1.5, 2.0, 2.5])
+        delta, excited = ramp_occupations(2.0, 1.0, 3.0, 4)
+        assert delta == 0.5
+        expected = [thermal_population(2.0 * gap) for gap in (1.0, 1.5, 2.0, 2.5)]
+        np.testing.assert_allclose(excited, expected, rtol=1e-14)
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             ProtocolSpec.coherent(0, EXPERIMENT)
-        with pytest.raises(ValueError):
-            ProtocolSpec.incoherent(3, EXPERIMENT, -1.0, 2.0)
+        for gaps in ((-1.0, 2.0), (math.nan, 2.0), (1.0, math.nan), (1.0, math.inf), (math.inf, 2.0)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                ProtocolSpec.incoherent(3, EXPERIMENT, *gaps)
         with pytest.raises(ValueError):
             ProtocolSpec(kind="quenchy", n_steps=3, thermal=EXPERIMENT)
 
@@ -69,7 +73,7 @@ class TestProtocolSpec:
         with pytest.raises(ValueError):
             coherent_step_distribution(incoherent)
         with pytest.raises(ValueError):
-            incoherent_step_distribution(ProtocolSpec.coherent(3, EXPERIMENT), 0)
+            incoherent_correction(ProtocolSpec.coherent(3, EXPERIMENT))
 
 
 class TestStepWorkDistribution:
@@ -78,6 +82,8 @@ class TestStepWorkDistribution:
             StepWorkDistribution(works=np.array([0.0, 1.0]), probs=np.array([0.6, 0.6]))
         with pytest.raises(ValueError):
             StepWorkDistribution(works=np.array([0.0, 1.0]), probs=np.array([1.2, -0.2]))
+        with pytest.raises(ValueError):
+            StepWorkDistribution(works=np.array([0.0, 1.0]), probs=np.array([math.nan, 1.0]))
 
     def test_moments(self):
         dist = StepWorkDistribution(works=np.array([-1.0, 0.0, 1.0]),
@@ -119,30 +125,32 @@ class TestCoherentStepDistribution:
                 np.testing.assert_allclose(closed.probs, probs, atol=1e-12, rtol=0.0)
 
 
+def incoherent_step(spec, j):
+    """Work marginal of row j of an incoherent ``step_table``."""
+    table = step_table(spec)
+    return StepWorkDistribution(works=table.works, probs=table.probs[j].sum(axis=1))
+
+
 class TestIncoherentStepDistribution:
+    """The per-quench work law, read off the rows of ``step_table``."""
+
     def test_no_drive_is_deterministic_zero(self):
         spec = ProtocolSpec.incoherent(5, EXPERIMENT, 1.0, 1.0)
-        dist = incoherent_step_distribution(spec, 2)
-        np.testing.assert_array_equal(dist.works, [0.0])
-        np.testing.assert_array_equal(dist.probs, [1.0])
+        dist = incoherent_step(spec, 2)
+        np.testing.assert_array_equal(dist.works, [0.0, 0.0])
+        assert list(work_law(dist.works, dist.probs)) == [0.0]
+        np.testing.assert_allclose(dist.probs.sum(), 1.0, atol=1e-15)
 
     def test_infinite_temperature_is_symmetric(self):
         spec = ProtocolSpec.incoherent(4, ThermalSpec.from_beta(0.0), 1.0, 2.0)
-        dist = incoherent_step_distribution(spec, 1)
+        dist = incoherent_step(spec, 1)
         np.testing.assert_allclose(dist.probs, [0.5, 0.5], atol=1e-15)
 
     def test_first_step_example(self):
         spec = ProtocolSpec.incoherent(10, EXPERIMENT, 1.0, 2.0)
-        dist = incoherent_step_distribution(spec, 0)
+        dist = incoherent_step(spec, 0)
         np.testing.assert_array_equal(dist.works, [-0.05, 0.05])
         np.testing.assert_allclose(dist.probs[1], 0.0319, atol=5e-5)
-
-    def test_step_index_bounds(self):
-        spec = ProtocolSpec.incoherent(3, EXPERIMENT, 1.0, 2.0)
-        with pytest.raises(IndexError):
-            incoherent_step_distribution(spec, 3)
-        with pytest.raises(IndexError):
-            incoherent_step_distribution(spec, -1)
 
     def test_against_born_rule_enumeration(self):
         """Brute force: enumerate both readouts of the thermal state at gap omega_j."""
@@ -156,10 +164,10 @@ class TestIncoherentStepDistribution:
             spec = ProtocolSpec.incoherent(n, ThermalSpec.from_beta(beta), omega_start, omega_end)
 
             # occupation at the step gap via the Gibbs density matrix itself
-            gap = spec.gap(j)
+            delta = (omega_end - omega_start) / n
+            gap = omega_start + j * delta
             scaled = ThermalSpec.from_beta(min(beta * gap, 1e3))
             p0, p1 = measure_energy_basis(gibbs_state(scaled))
-            delta = (omega_end - omega_start) / n
             expected = {}
             for occupancy, born in ((0, p0), (1, p1)):
                 energy_before = (occupancy - 0.5) * gap
@@ -167,7 +175,7 @@ class TestIncoherentStepDistribution:
                 work = energy_after - energy_before
                 expected[work] = expected.get(work, 0.0) + born
 
-            dist = incoherent_step_distribution(spec, j)
+            dist = incoherent_step(spec, j)
             for work, prob in zip(dist.works, dist.probs):
                 # the enumeration computes works as energy differences, which
                 # lands one ulp away from the library's delta/2 arithmetic
@@ -198,9 +206,7 @@ class TestApplySpam:
         np.testing.assert_allclose(out.probs[2], 0.144612, atol=1e-5)
 
     def test_rejects_non_coherent_support(self):
-        incoherent = incoherent_step_distribution(
-            ProtocolSpec.incoherent(4, EXPERIMENT, 1.0, 2.0), 0
-        )
+        incoherent = incoherent_step(ProtocolSpec.incoherent(4, EXPERIMENT, 1.0, 2.0), 0)
         with pytest.raises(ValueError):
             apply_spam(incoherent, SpamModel(0.004, 0.004))
 
@@ -471,19 +477,19 @@ class TestStepTable:
         assert table.probs.shape == (n, 2, 2)
         assert np.all(table.probs >= 0.0)
         assert np.all(np.abs(table.probs.sum(axis=(1, 2)) - 1.0) <= PROB_ATOL)
+        delta = (omega_end - omega_start) / n
         for j, row in enumerate(table.probs):
-            step = incoherent_step_distribution(spec, j)
+            excited = thermal_population(min(beta * (omega_start + j * delta), 700.0))
+            step = StepWorkDistribution(works=[-delta / 2.0, delta / 2.0],
+                                        probs=[1.0 - excited, excited])
             assert_work_marginal(table.works, row, step)
-            excited = thermal_population(min(beta * spec.gap(j), 745.0))
             assert abs(row[:, 1].sum() - excited) <= PROB_ATOL
         mean, var = run_moments(table)
         mean_ref, var_ref = incoherent_cumulants(beta, omega_start, omega_end, n)
         span = abs(omega_end - omega_start)
-        # f - 1/2 loses absolute precision ~eps when beta*omega is tiny, and
-        # the kernel caps beta*omega at 700 where the tables cap at 745
+        # f - 1/2 loses absolute precision ~eps when beta*omega is tiny
         assert math.isclose(mean, mean_ref, rel_tol=1e-12, abs_tol=1e-15 * n * span)
-        cap_slack = span**2 / n * (1.0 / (1.0 + math.exp(700.0)))
-        assert math.isclose(var, var_ref, rel_tol=1e-12, abs_tol=cap_slack)
+        assert math.isclose(var, var_ref, rel_tol=1e-12)
 
     def test_first_readout_follows_the_work_sign(self):
         """Without readout error an upward flip starts in the ground state and
@@ -491,6 +497,12 @@ class TestStepTable:
         row = step_table(ProtocolSpec.coherent(3, EXPERIMENT)).probs[0]
         assert row[0, 0] == 0.0 and row[2, 1] == 0.0
         assert row[0, 1] > 0.0 and row[2, 0] > 0.0
+
+    def test_nan_probabilities_rejected(self):
+        probs = np.full((2, 2, 2), 0.25)
+        probs[1, 0, 1] = math.nan
+        with pytest.raises(ValueError):
+            StepTable(np.array([-0.5, 0.5]), probs, flips=np.array([False, True]))
 
     def test_spam_with_incoherent_protocol_rejected(self):
         spec = ProtocolSpec.incoherent(3, EXPERIMENT, 1.0, 2.0)
