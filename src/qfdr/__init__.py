@@ -9,7 +9,6 @@ classical explanations.
 
 from .analytics import (
     FdrEstimate,
-    SweepPoint,
     coherent_asymptote,
     coherent_cumulants,
     delta_free_energy,
@@ -32,7 +31,6 @@ from .qubit import ThermalSpec, gibbs_state, population_to_beta, rotation
 from .reference import load_reference_points
 from .stats import (
     BootstrapReport,
-    SigmaDistance,
     beta_error,
     binomial_error,
     bootstrap_q,
@@ -48,10 +46,8 @@ __all__ = [
     "BootstrapReport",
     "FdrEstimate",
     "ProtocolSpec",
-    "SigmaDistance",
     "SpamModel",
     "StepWorkDistribution",
-    "SweepPoint",
     "ThermalSpec",
     "WorkSampleSet",
     "apply_spam",

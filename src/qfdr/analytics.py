@@ -18,7 +18,8 @@ attainable by incoherent protocols.  Both incoherent paths share one
 vectorised closed form for the work cumulants, ``incoherent_cumulants``,
 built on the ramp law ``protocol.ramp_occupations`` (beta omega capped at
 700) that the step tables use too, and one free-energy change,
-``delta_free_energy``.
+``delta_free_energy``.  Results are numbers, arrays and estimates; the
+command line alone turns them into labelled table rows.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ from .qubit import ThermalSpec
 ANALYTIC = "analytic"
 MONTE_CARLO = "monte_carlo"
 
-PROVENANCES = ("experiment", "coherent_theory", "incoherent_sim", "spam_bound")
-
-DEFAULT_SWEEP_BIN_WIDTH = 0.05
-DEFAULT_OMEGA_RATIO_BOUNDS = (0.05, 20.0)
-DEFAULT_OMEGA_GRID_SIZE = 200
+# every sweep ramp starts at the experiment's gap; its points are binned in v^-1
+SWEEP_OMEGA_START = 1.0
+SWEEP_BIN_WIDTH = 0.05
+# default grids: omega_end = geomspace(0.05, 20, 200) and N = 1 .. 200
+DEFAULT_OMEGA_GRID = (0.05, 20.0, 200)
 DEFAULT_SWEEP_N_MAX = 200
 
 
@@ -69,17 +70,6 @@ class FdrEstimate:
     def __post_init__(self) -> None:
         if self.source not in (ANALYTIC, MONTE_CARLO):
             raise ValueError(f"unknown source {self.source!r}")
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    inverse_speed: float
-    rescaled_q: float
-    provenance: str
-
-    def __post_init__(self) -> None:
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
 def make_estimate(
@@ -262,18 +252,17 @@ class SweepResult:
 
     ``points`` is an (M, 2) float64 array of (v^-1, N Q / |dH|) rows, N-major;
     ``bin_maxima[i]`` is the supremum over the points in bin ``bin_keys[i]``
-    = floor(v^-1 / bin_width), keys ascending.
+    = floor(v^-1 / SWEEP_BIN_WIDTH), keys ascending.
     """
 
     points: np.ndarray
-    bin_width: float
     bin_keys: np.ndarray
     bin_maxima: np.ndarray
     skipped: int = 0
 
     def boundary_at(self, inverse_speed: float) -> float:
         """Supremum of the rescaled correction in the bin containing v^-1."""
-        key = math.floor(inverse_speed / self.bin_width)
+        key = math.floor(inverse_speed / SWEEP_BIN_WIDTH)
         i = int(np.searchsorted(self.bin_keys, key))
         if i == self.bin_keys.size or self.bin_keys[i] != key:
             raise KeyError(f"no sweep points in the bin around v^-1 = {inverse_speed}")
@@ -281,33 +270,27 @@ class SweepResult:
 
     def bin_centers(self) -> np.ndarray:
         """v^-1 at the center of each occupied bin, aligned with ``bin_maxima``."""
-        return (self.bin_keys + 0.5) * self.bin_width
-
-
-def default_omega_grid(omega_start: float = 1.0) -> np.ndarray:
-    lo, hi = DEFAULT_OMEGA_RATIO_BOUNDS
-    return np.geomspace(lo * omega_start, hi * omega_start, DEFAULT_OMEGA_GRID_SIZE)
+        return (self.bin_keys + 0.5) * SWEEP_BIN_WIDTH
 
 
 def incoherent_region_sweep(
     beta: float,
     omega_f_grid: np.ndarray | None = None,
     n_grid: np.ndarray | None = None,
-    omega_start: float = 1.0,
-    bin_width: float = DEFAULT_SWEEP_BIN_WIDTH,
 ) -> SweepResult:
     """Map the (inverse speed, rescaled correction) region of incoherent ramps.
 
     For every (omega_end, N) pair on the grid the ramp starts at the
-    experiment's gap ``omega_start`` and the rescaled correction
+    experiment's gap ``SWEEP_OMEGA_START`` and the rescaled correction
     N Q / |dH| is recorded at v^-1 = N / |dH| with |dH| = |omega_end -
     omega_start| / 2, from ``incoherent_cumulants``.  Degenerate omega_end =
     omega_start entries carry no Hamiltonian change and are skipped; the
     count is reported in the result.  The per-bin supremum over the grid
     traces the upper boundary of the attainable region.
     """
+    omega_start = SWEEP_OMEGA_START
     if omega_f_grid is None:
-        omega_f_grid = default_omega_grid(omega_start)
+        omega_f_grid = np.geomspace(*DEFAULT_OMEGA_GRID)
     if n_grid is None:
         n_grid = np.arange(1, DEFAULT_SWEEP_N_MAX + 1)
     omega_f_grid = np.asarray(omega_f_grid, dtype=np.float64)
@@ -329,47 +312,26 @@ def incoherent_region_sweep(
     v_inv = (n / norm).ravel()
     rescaled = (n * q / norm).ravel()
 
-    keys = np.floor(v_inv / bin_width).astype(np.int64)
+    keys = np.floor(v_inv / SWEEP_BIN_WIDTH).astype(np.int64)
     order = np.argsort(keys)
     bin_keys, starts = np.unique(keys[order], return_index=True)
     return SweepResult(
         points=np.column_stack([v_inv, rescaled]),
-        bin_width=bin_width,
         bin_keys=bin_keys,
         bin_maxima=np.maximum.reduceat(rescaled[order], starts),
         skipped=skipped,
     )
 
 
-def coherent_theory_curve(beta: float, n_values: np.ndarray) -> list[SweepPoint]:
-    """Rescaled coherent correction at each step count, as sweep points."""
+def coherent_theory_curve(beta: float, n_values: np.ndarray) -> np.ndarray:
+    """Rescaled coherent correction at each step count of ``n_values``."""
     thermal = ThermalSpec.from_beta(beta)
-    points = []
-    for n in n_values:
-        est = quantum_correction(ProtocolSpec.coherent(int(n), thermal))
-        points.append(
-            SweepPoint(
-                inverse_speed=int(n) / COHERENT_NORM_DH,
-                rescaled_q=est.rescaled,
-                provenance="coherent_theory",
-            )
-        )
-    return points
+    return np.array(
+        [quantum_correction(ProtocolSpec.coherent(int(n), thermal)).rescaled for n in n_values]
+    )
 
 
-def spam_bound_curve(
-    beta: float, spam: SpamModel, n_values: np.ndarray
-) -> list[SweepPoint]:
-    """Rescaled worst-case readout-error correction at each step count."""
+def spam_bound_curve(beta: float, spam: SpamModel, n_values: np.ndarray) -> np.ndarray:
+    """Rescaled worst-case readout-error correction at each step count of ``n_values``."""
     thermal = ThermalSpec.from_beta(beta)
-    points = []
-    for n in n_values:
-        est = spam_correction(thermal, spam, int(n))
-        points.append(
-            SweepPoint(
-                inverse_speed=int(n) / COHERENT_NORM_DH,
-                rescaled_q=est.rescaled,
-                provenance="spam_bound",
-            )
-        )
-    return points
+    return np.array([spam_correction(thermal, spam, int(n)).rescaled for n in n_values])

@@ -3,7 +3,9 @@ calibrate.
 
 Exit codes: 0 success, 2 configuration/parse error, 3 certification failure,
 4 I/O failure.  Output files are byte-identical for identical configuration
-and seed, independent of the worker count.
+and seed, independent of the worker count.  The analysis modules return
+plain numbers and arrays; this module alone labels them and builds the
+table rows, and a command's default output file is named after it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from numpy.random import Generator, Philox
 from . import analytics, stats
 from .config import COMMANDS, ConfigError, RunConfig, build_config, parse_document
 from .io import write_samples, write_table
-from .protocol import COHERENT, INCOHERENT, ProtocolSpec, SpamModel, sample_work
+from .protocol import COHERENT, COHERENT_NORM_DH, INCOHERENT, ProtocolSpec, SpamModel, sample_work
 from .qubit import ThermalSpec
 from .reference import load_reference_points
 
@@ -90,11 +92,17 @@ def load_config(argv: list[str]) -> RunConfig:
     return build_config(file_values, overrides)
 
 
-def _output_path(config: RunConfig, default_name: str) -> Path:
+def _output_path(config: RunConfig) -> Path:
     if config.output:
         return Path(config.output)
     base = Path(os.environ.get(OUTPUT_DIR_ENV, "."))
-    return base / default_name
+    return base / f"{config.command}.{config.format}"
+
+
+def _write_rows(config: RunConfig, fieldnames: list[str], rows: list[dict]) -> None:
+    path = _output_path(config)
+    write_table(path, fieldnames, rows, config.format)
+    print(f"wrote {path} ({len(rows)} rows)")
 
 
 def _spam_model(config: RunConfig) -> SpamModel:
@@ -115,23 +123,12 @@ def run_analytic(config: RunConfig) -> int:
             estimate = analytics.quantum_correction(spec)
         else:
             estimate = analytics.incoherent_correction(spec)
-        rows.append(
-            {
-                "kind": spec.kind,
-                "n_steps": spec.n_steps,
-                "beta": spec.thermal.beta,
-                "omega_start": spec.omega_start,
-                "omega_end": spec.omega_end,
-                "mean_work": estimate.mean_work,
-                "var_work": estimate.var_work,
-                "delta_f": estimate.delta_f,
-                "q_value": estimate.q_value,
-                "nq_rescaled": estimate.rescaled,
-            }
-        )
-    path = _output_path(config, f"analytic.{config.format}")
-    write_table(path, ANALYTIC_FIELDS, rows, config.format)
-    print(f"wrote {path} ({len(rows)} rows)")
+        rows.append({"kind": spec.kind, "n_steps": spec.n_steps, "beta": spec.thermal.beta,
+                     "omega_start": spec.omega_start, "omega_end": spec.omega_end,
+                     "mean_work": estimate.mean_work, "var_work": estimate.var_work,
+                     "delta_f": estimate.delta_f, "q_value": estimate.q_value,
+                     "nq_rescaled": estimate.rescaled})
+    _write_rows(config, ANALYTIC_FIELDS, rows)
     return EXIT_OK
 
 
@@ -140,7 +137,7 @@ def run_simulate(config: RunConfig) -> int:
     multiple = len(config.n_steps) > 1
     for spec in _protocol_specs(config):
         samples = sample_work(spec, spam, config.runs, config.seed, workers=config.workers)
-        path = _output_path(config, f"simulate.{config.format}")
+        path = _output_path(config)
         if multiple:
             path = path.with_name(f"{path.stem}_n{spec.n_steps}{path.suffix}")
         write_samples(path, samples)
@@ -157,26 +154,23 @@ def run_simulate(config: RunConfig) -> int:
 
 
 def run_sweep(config: RunConfig) -> int:
-    rows = []
-    for point in analytics.coherent_theory_curve(config.beta, SWEEP_CURVE_N):
-        rows.append({"provenance": point.provenance, "v_inv": point.inverse_speed,
-                     "nq_rescaled": point.rescaled_q})
-    sweep = analytics.incoherent_region_sweep(config.beta)
-    for v_inv, value in zip(sweep.bin_centers().tolist(), sweep.bin_maxima.tolist()):
-        rows.append({"provenance": "incoherent_sim", "v_inv": v_inv, "nq_rescaled": value})
-    spam = _spam_model(config)
-    for point in analytics.spam_bound_curve(config.beta, spam, SWEEP_CURVE_N):
-        rows.append({"provenance": point.provenance, "v_inv": point.inverse_speed,
-                     "nq_rescaled": point.rescaled_q})
+    n, beta, spam = SWEEP_CURVE_N, config.beta, _spam_model(config)
+    sweep = analytics.incoherent_region_sweep(beta)
+    # (label, v^-1 array, value array) per row group, in file order
+    groups = [
+        ("coherent_theory", n / COHERENT_NORM_DH, analytics.coherent_theory_curve(beta, n)),
+        ("incoherent_sim", sweep.bin_centers(), sweep.bin_maxima),
+        ("spam_bound", n / COHERENT_NORM_DH, analytics.spam_bound_curve(beta, spam, n)),
+    ]
     if config.include_experiment:
-        for ref in load_reference_points():
-            rows.append({"provenance": "experiment", "v_inv": ref.v_inv,
-                         "nq_rescaled": ref.nq_rescaled})
+        measured = np.array([(ref.v_inv, ref.nq_rescaled) for ref in load_reference_points()])
+        groups.append(("experiment", *measured.T))
+    rows = [{"provenance": label, "v_inv": v_inv, "nq_rescaled": value}
+            for label, abscissae, values in groups
+            for v_inv, value in zip(abscissae.tolist(), values.tolist())]
     if sweep.skipped:
         print(f"sweep: skipped {sweep.skipped} degenerate grid points with no Hamiltonian change")
-    path = _output_path(config, f"sweep.{config.format}")
-    write_table(path, SWEEP_FIELDS, rows, config.format)
-    print(f"wrote {path} ({len(rows)} rows)")
+    _write_rows(config, SWEEP_FIELDS, rows)
     return EXIT_OK
 
 
@@ -187,49 +181,34 @@ def run_certify(config: RunConfig) -> int:
     published convention; rows 4-6 share the third point's sigma) and the
     pass flag requires both distances to reach the configured threshold.
     """
-    references = load_reference_points()
     thermal = ThermalSpec.from_beta(config.beta)
     spam = _spam_model(config)
     sweep = analytics.incoherent_region_sweep(config.beta)
 
     rows = []
-    all_passed = True
-    for ref in references:
+    for ref in load_reference_points():
         if abs(ref.v_inv - ref.n_steps * math.sqrt(2.0)) > 0.05:
             print(
                 f"note: abscissa {ref.v_inv} is not an integer multiple of sqrt(2); "
                 f"using n_steps={ref.n_steps}"
             )
-        point = analytics.SweepPoint(ref.v_inv, ref.nq_rescaled, "experiment")
+        ref_inc = sweep.boundary_at(ref.v_inv)
         ref_spam = analytics.spam_correction(thermal, spam, ref.n_steps).rescaled
-        to_inc = stats.sigma_distance(point, ref.sigma_delta, sweep.boundary_at(ref.v_inv),
-                                      threshold=config.threshold)
-        to_spam = stats.sigma_distance(point, ref.sigma_delta, ref_spam, "spam_bound",
-                                       config.threshold)
-        passed = to_inc.passed and to_spam.passed
-        all_passed &= passed
-        rows.append(
-            {
-                "v_inv": ref.v_inv,
-                "nq_exp": ref.nq_rescaled,
-                "sigma_stat": ref.sigma_delta,
-                "ref_inc": to_inc.reference_value,
-                "delta_inc_sigma": to_inc.distance_sigma,
-                "ref_spam": ref_spam,
-                "delta_spam_sigma": to_spam.distance_sigma,
-                "pass": passed,
-            }
-        )
-    path = _output_path(config, f"certify.{config.format}")
-    write_table(path, CERTIFY_FIELDS, rows, config.format)
-    print(f"wrote {path} ({len(rows)} rows)")
+        delta_inc = stats.sigma_distance(ref.nq_rescaled, ref.sigma_delta, ref_inc)
+        delta_spam = stats.sigma_distance(ref.nq_rescaled, ref.sigma_delta, ref_spam)
+        # both comparisons, not min(): a NaN distance fails whichever one it is
+        passed = delta_inc >= config.threshold and delta_spam >= config.threshold
+        rows.append({"v_inv": ref.v_inv, "nq_exp": ref.nq_rescaled, "sigma_stat": ref.sigma_delta,
+                     "ref_inc": ref_inc, "delta_inc_sigma": delta_inc, "ref_spam": ref_spam,
+                     "delta_spam_sigma": delta_spam, "pass": passed})
+    _write_rows(config, CERTIFY_FIELDS, rows)
     for row in rows:
         print(
             f"  v_inv={row['v_inv']}: delta_inc={row['delta_inc_sigma']:.2f} "
             f"delta_spam={row['delta_spam_sigma']:.2f} "
             f"{'pass' if row['pass'] else 'FAIL'}"
         )
-    if not all_passed:
+    if not all(row["pass"] for row in rows):
         raise CertificationFailure(
             f"certification failed at the {config.threshold} sigma threshold"
         )
@@ -240,17 +219,9 @@ def run_temperature_profile(config: RunConfig) -> int:
     rows = []
     for n in config.n_steps:
         for estimate in analytics.temperature_profile(n, config.betas):
-            rows.append(
-                {
-                    "n_steps": n,
-                    "beta": estimate.beta,
-                    "q_value": estimate.q_value,
-                    "nq_rescaled": estimate.rescaled,
-                }
-            )
-    path = _output_path(config, f"temperature-profile.{config.format}")
-    write_table(path, PROFILE_FIELDS, rows, config.format)
-    print(f"wrote {path} ({len(rows)} rows)")
+            rows.append({"n_steps": n, "beta": estimate.beta, "q_value": estimate.q_value,
+                         "nq_rescaled": estimate.rescaled})
+    _write_rows(config, PROFILE_FIELDS, rows)
     return EXIT_OK
 
 
@@ -282,7 +253,7 @@ def run_calibrate(config: RunConfig) -> int:
             "error": fitted - true_duration,
         }
     ]
-    path = _output_path(config, f"calibrate.{config.format}")
+    path = _output_path(config)
     write_table(path, CALIBRATE_FIELDS, rows, config.format)
     print(f"wrote {path}: fitted_duration={fitted:.6f} (true {true_duration:.6f})")
     return EXIT_OK

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field, fields
 
 from .protocol import COHERENT, INCOHERENT, KINDS
-from .reference import EXPERIMENT_BETA
+from .reference import EXPERIMENT_BETA, EXPERIMENT_READOUT_ERROR, EXPERIMENT_RUNS
 
 
 class ConfigError(ValueError):
@@ -50,16 +50,18 @@ class RunConfig:
     n_steps: list[int] = _key("must be positive integers", lambda v: v and min(v) >= 1,
                               "step count, or comma list for batch jobs",
                               default_factory=lambda: [2])
-    beta: float = _key("must be >= 0", lambda v: v >= 0.0, default=3.413)
+    beta: float = _key("must be >= 0", lambda v: v >= 0.0, default=EXPERIMENT_BETA)
     omega_start: float = _key("must be > 0", lambda v: v > 0.0, default=1.0)
     omega_end: float = _key("must be > 0", lambda v: v > 0.0, default=2.0)
-    runs: int = _key("must be >= 1", lambda v: v >= 1, default=8000)
+    runs: int = _key("must be >= 1", lambda v: v >= 1, default=EXPERIMENT_RUNS)
     resamples: int = _key("must be >= 2", lambda v: v >= 2, default=200)
     seed: int = _key("must be a 64-bit unsigned integer", lambda v: 0 <= v < 2**64, default=0)
     workers: int = _key("must be >= 1", lambda v: v >= 1, default=1)
     spam: bool = False
-    spam_bright: float = _key("must lie in [0, 0.5)", lambda v: 0.0 <= v < 0.5, default=0.004)
-    spam_dark: float = _key("must lie in [0, 0.5)", lambda v: 0.0 <= v < 0.5, default=0.004)
+    spam_bright: float = _key("must lie in [0, 0.5)", lambda v: 0.0 <= v < 0.5,
+                              default=EXPERIMENT_READOUT_ERROR)
+    spam_dark: float = _key("must lie in [0, 0.5)", lambda v: 0.0 <= v < 0.5,
+                            default=EXPERIMENT_READOUT_ERROR)
     threshold: float = _key("must be > 0", lambda v: v > 0.0, default=10.0)
     include_experiment: bool = True
     betas: list[float] = _key("must be >= 0", lambda v: all(b >= 0.0 for b in v),

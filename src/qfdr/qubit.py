@@ -22,7 +22,6 @@ ATOL = 1e-12
 # limit.  Keeps arithmetic total instead of special-casing beta = inf.
 BETA_CAP = 1e3
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 IDENTITY = np.eye(2, dtype=np.complex128)
@@ -32,24 +31,24 @@ class StateIntegrityError(ValueError):
     """Raised when a 2x2 matrix fails the density-matrix invariants."""
 
 
-def check_density_matrix(rho: np.ndarray, atol: float = ATOL) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate that ``rho`` is a physical qubit density matrix.
 
     Checks shape, finiteness, Hermiticity, unit trace and positivity
-    (eigenvalues >= -atol).  Returns ``rho`` unchanged so the call can be
-    inlined.
+    (eigenvalues >= -ATOL), each to within ``ATOL``.  Returns ``rho``
+    unchanged so the call can be inlined.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (2, 2):
         raise StateIntegrityError(f"expected a 2x2 matrix, got shape {rho.shape}")
     if not np.all(np.isfinite(rho.view(np.float64))):
         raise StateIntegrityError("density matrix has non-finite entries")
-    if not np.allclose(rho, rho.conj().T, atol=atol, rtol=0.0):
+    if not np.allclose(rho, rho.conj().T, atol=ATOL, rtol=0.0):
         raise StateIntegrityError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
+    if abs(np.trace(rho).real - 1.0) > ATOL or abs(np.trace(rho).imag) > ATOL:
         raise StateIntegrityError("density matrix trace is not 1")
     eigenvalues = np.linalg.eigvalsh(rho)
-    if eigenvalues.min() < -atol:
+    if eigenvalues.min() < -ATOL:
         raise StateIntegrityError(f"density matrix has negative eigenvalue {eigenvalues.min()}")
     return rho
 
@@ -101,13 +100,13 @@ class ThermalSpec:
             )
 
     @classmethod
-    def from_beta(cls, beta: float, cap: float = BETA_CAP) -> "ThermalSpec":
-        """Build from an inverse temperature, capping beta = inf at ``cap``."""
+    def from_beta(cls, beta: float) -> "ThermalSpec":
+        """Build from an inverse temperature, capping beta = inf at ``BETA_CAP``."""
         if math.isnan(beta):
             raise ValueError("beta must not be NaN")
         if beta < 0.0:
             raise ValueError(f"beta must be >= 0, got {beta}")
-        beta = min(beta, cap)
+        beta = min(beta, BETA_CAP)
         return cls(beta=beta, population=thermal_population(beta))
 
     @classmethod

@@ -1,9 +1,10 @@
 """Error analysis for measured work statistics.
 
 Covers the full certification pipeline: binomial parameter errors, the
-parametric bootstrap of the correction Q, sigma distances of measured points
-from classical reference boundaries, a binned drift diagnostic, and the
-linear-regression calibration of rotation pulse durations.
+parametric bootstrap of the correction Q, the sigma distance of a measured
+value from a classical reference value (a plain float; the caller applies
+its threshold), a binned drift diagnostic, and the linear-regression
+calibration of rotation pulse durations.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .analytics import MONTE_CARLO, FdrEstimate, SweepPoint, delta_free_energy, make_estimate
+from .analytics import MONTE_CARLO, FdrEstimate, delta_free_energy, make_estimate
 from .protocol import (
     COHERENT,
     ProtocolSpec,
@@ -24,6 +25,9 @@ from .protocol import (
     step_table,
 )
 from .qubit import BETA_CAP, ThermalSpec, population_to_beta
+
+# excess bin-frequency spread at which drift_scan flags a drift
+DRIFT_THRESHOLD = 0.01
 
 
 def binomial_error(p_hat: float, trials: int) -> float:
@@ -153,41 +157,11 @@ def estimate_from_samples(samples: WorkSampleSet) -> FdrEstimate:
     return _fit_histogram(samples.spec, samples.levels, counts, excited)
 
 
-@dataclass(frozen=True)
-class SigmaDistance:
-    """How many statistical sigmas a measured point sits above a reference."""
-
-    point: SweepPoint
-    reference: str
-    reference_value: float
-    sigma_stat: float
-    distance_sigma: float
-    threshold: float
-
-    @property
-    def passed(self) -> bool:
-        return self.distance_sigma >= self.threshold
-
-
-def sigma_distance(
-    point: SweepPoint,
-    sigma_stat: float,
-    reference_value: float,
-    reference: str = "incoherent_boundary",
-    threshold: float = 10.0,
-) -> SigmaDistance:
-    """Distance of a measured sweep point from a classical reference value."""
-    if sigma_stat <= 0.0:
-        raise ValueError(f"sigma_stat must be > 0, got {sigma_stat}")
-    distance = (point.rescaled_q - reference_value) / sigma_stat
-    return SigmaDistance(
-        point=point,
-        reference=reference,
-        reference_value=reference_value,
-        sigma_stat=sigma_stat,
-        distance_sigma=distance,
-        threshold=threshold,
-    )
+def sigma_distance(value: float, sigma: float, reference_value: float) -> float:
+    """How many sigmas a measured value sits above a classical reference value."""
+    if sigma <= 0.0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+    return (value - reference_value) / sigma
 
 
 @dataclass(frozen=True)
@@ -203,14 +177,14 @@ class DriftReport:
     flagged: bool
 
 
-def drift_scan(outcomes: np.ndarray, bin_size: int, threshold: float = 0.01) -> DriftReport:
+def drift_scan(outcomes: np.ndarray, bin_size: int) -> DriftReport:
     """Compare the per-bin frequency spread against the binomial expectation.
 
     The binary sequence is partitioned into floor(len/K) bins of size K.  The
     observed standard deviation of the bin frequencies is compared to the
     binomial expectation sqrt(p(1-p)/K); a drifting parameter inflates the
     spread while i.i.d. data stays at the expectation.  Drift is flagged when
-    the excess reaches ``threshold``.
+    the excess reaches ``DRIFT_THRESHOLD``.
     """
     outcomes = np.asarray(outcomes).astype(np.float64)
     if bin_size < 1:
@@ -233,7 +207,7 @@ def drift_scan(outcomes: np.ndarray, bin_size: int, threshold: float = 0.01) -> 
         observed_spread=observed,
         expected_spread=expected,
         excess_spread=excess,
-        flagged=excess >= threshold,
+        flagged=excess >= DRIFT_THRESHOLD,
     )
 
 

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfdr.analytics import (
+    SWEEP_BIN_WIDTH,
     FdrEstimate,
     coherent_asymptote,
     coherent_cumulants,
@@ -459,15 +460,15 @@ class TestIncoherentRegionSweep:
         assert len(result.points) + result.skipped == omega_size * n_size
         best = {}
         for v_inv, value in result.points.tolist():
-            key = math.floor(v_inv / result.bin_width)
+            key = math.floor(v_inv / SWEEP_BIN_WIDTH)
             if key not in best or value > best[key]:
                 best[key] = value
         keys = sorted(best)
         assert result.bin_keys.tolist() == keys
         assert result.bin_maxima.tolist() == [best[k] for k in keys]
-        assert result.bin_centers().tolist() == [(k + 0.5) * result.bin_width for k in keys]
+        assert result.bin_centers().tolist() == [(k + 0.5) * SWEEP_BIN_WIDTH for k in keys]
         for key in keys:
-            assert result.boundary_at((key + 0.5) * result.bin_width) == best[key]
+            assert result.boundary_at((key + 0.5) * SWEEP_BIN_WIDTH) == best[key]
 
     def test_missing_bin_raises(self):
         result = incoherent_region_sweep(
@@ -507,8 +508,13 @@ class TestScalingTrichotomy:
             assert b == 2.0 * a
 
     def test_curve_helpers(self):
+        """Float arrays aligned with the step counts, each entry the scalar
+        closed form at that N."""
         curve = coherent_theory_curve(3.413, np.array([2, 3]))
-        assert [p.provenance for p in curve] == ["coherent_theory"] * 2
-        np.testing.assert_allclose(curve[0].inverse_speed, 2 * math.sqrt(2.0), rtol=1e-14)
+        assert curve.dtype == np.float64 and curve.shape == (2,)
+        assert curve.tolist() == [
+            quantum_correction(ProtocolSpec.coherent(n, EXPERIMENT)).rescaled for n in (2, 3)
+        ]
         bound = spam_bound_curve(3.413, SpamModel(0.004, 0.004), np.array([7]))
-        np.testing.assert_allclose(bound[0].rescaled_q, 0.21185323082010277, rtol=1e-12)
+        assert bound.dtype == np.float64 and bound.shape == (1,)
+        np.testing.assert_allclose(bound[0], 0.21185323082010277, rtol=1e-12)

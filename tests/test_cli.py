@@ -279,6 +279,17 @@ class TestSweepCommand:
         experiment = [r for r in rows if r["provenance"] == "experiment"]
         assert len(experiment) == 6
 
+    def test_curves_sit_on_the_coherent_axis(self, tmp_path):
+        """Both analytic curves put N = 1 .. 100 at v^-1 = N sqrt(2)."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--output", str(out)]) == 0
+        _, rows = read_csv_table(out)
+        for provenance in ("coherent_theory", "spam_bound"):
+            v_inv = [float(r["v_inv"]) for r in rows if r["provenance"] == provenance]
+            assert len(v_inv) == 100
+            np.testing.assert_allclose(v_inv[1], 2 * math.sqrt(2.0), rtol=1e-14)
+            np.testing.assert_allclose(v_inv, np.arange(1, 101) * math.sqrt(2.0), rtol=1e-14)
+
     def test_exclude_experiment(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--no-include-experiment", "--output", str(out)]) == 0
@@ -307,6 +318,19 @@ class TestCertifyCommand:
         assert not out.exists()
         assert main(["certify", "--output", str(out)]) == 0
         assert main(["certify", "--beta", "3.413", "--output", str(out)]) == 0
+
+    def test_threshold_at_the_smallest_distance_passes(self, tmp_path):
+        """A point passes when both of its distances reach the threshold:
+        the smallest printed distance passes, the next float above fails."""
+        out = tmp_path / "certify.csv"
+        assert main(["certify", "--output", str(out)]) == 0
+        _, rows = read_csv_table(out)
+        smallest = min(float(r[key]) for r in rows for key in ("delta_inc_sigma", "delta_spam_sigma"))
+        assert main(["certify", f"--threshold={smallest!r}", "--output", str(out)]) == 0
+        above = math.nextafter(smallest, math.inf)
+        assert main(["certify", f"--threshold={above!r}", "--output", str(out)]) == 3
+        _, rows = read_csv_table(out)
+        assert [r["pass"] for r in rows].count("false") == 1
 
     def test_unreachable_threshold_fails_with_exit_3(self, tmp_path):
         out = tmp_path / "certify.csv"

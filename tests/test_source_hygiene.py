@@ -1,6 +1,8 @@
 """Source hygiene of the package, checked with the standard-library ``ast``:
-no unused import, no unreferenced module-level private name, and an
-``__all__`` whose every entry resolves."""
+no unused import, no unreferenced module-level name, no defaulted parameter
+that no call passes, and an ``__all__`` whose every entry resolves.  Public
+names and parameters count as used when the package, its tests or the
+benchmark harness read or pass them."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,9 @@ from pathlib import Path
 import qfdr
 
 SOURCES = {path.name: ast.parse(path.read_text()) for path in Path(qfdr.__file__).parent.glob("*.py")}
+ROOT = Path(__file__).resolve().parents[1]
+TREES = [ast.parse(path.read_text()) for folder in ("src", "tests", "perfbench")
+         for path in sorted((ROOT / folder).rglob("*.py"))]
 
 
 def loaded_names(tree):
@@ -19,6 +24,13 @@ def loaded_names(tree):
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def module_level_names(tree):
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", node)]
+        for target in targets:
+            yield getattr(target, "name", getattr(target, "id", ""))
 
 
 def imported(tree):
@@ -42,12 +54,48 @@ def test_every_private_module_name_is_referenced():
         referenced |= loaded_names(tree)
         referenced |= {bound for bound, node in imported(tree) if getattr(node, "level", 0) > 0}
     for name, tree in SOURCES.items():
-        for node in tree.body:
-            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", node)]
-            for target in targets:
-                defined = getattr(target, "name", getattr(target, "id", ""))
-                if defined.startswith("_") and not defined.startswith("__"):
-                    assert defined in referenced, f"{name} defines {defined} and nothing uses it"
+        for defined in module_level_names(tree):
+            if defined.startswith("_") and not defined.startswith("__"):
+                assert defined in referenced, f"{name} defines {defined} and nothing uses it"
+
+
+def test_every_public_module_name_is_referenced():
+    referenced = set().union(*map(loaded_names, TREES))
+    unused = sorted(f"{name}: {defined}" for name, tree in SOURCES.items()
+                    for defined in module_level_names(tree)
+                    if defined and not defined.startswith("_") and defined not in referenced)
+    assert not unused, f"defined but read nowhere: {unused}"
+
+
+def _passes(call, parameter, position, method):
+    """Whether ``call`` passes ``parameter``: by keyword, through an unpacked
+    ``*args``/``**kwargs``, or by ``position``, which counts ``self``/``cls``
+    when a method is called through an attribute."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    bound = method and isinstance(call.func, ast.Attribute)
+    return position is not None and len(call.args) + bound > position
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    calls = {}
+    for node in (n for tree in TREES for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        calls.setdefault(getattr(node.func, "id", getattr(node.func, "attr", None)), []).append(node)
+    never = []
+    for name, tree in SOURCES.items():
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            positional = fn.args.posonlyargs + fn.args.args
+            method = bool(positional) and positional[0].arg in ("self", "cls")
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+            defaulted += [(arg.arg, None) for arg, default in
+                          zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+            never += [f"{name}: {fn.name}({parameter}=)" for parameter, position in defaulted
+                      if not any(_passes(c, parameter, position, method)
+                                 for c in calls.get(fn.name, []))]
+    assert not never, f"defaulted parameters that no call passes: {never}"
 
 
 def test_all_entries_resolve():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qfdr.analytics import SweepPoint, quantum_correction, spam_correction
+from qfdr.analytics import quantum_correction, spam_correction
 from qfdr.protocol import COHERENT, INCOHERENT, ProtocolSpec, SpamModel, sample_work
 from qfdr.qubit import ThermalSpec
 from qfdr.stats import (
@@ -178,33 +178,26 @@ class TestEstimateFromSamples:
 
 class TestSigmaDistance:
     def test_eleven_sigma_reference(self):
-        point = SweepPoint(inverse_speed=2.828, rescaled_q=0.438, provenance="experiment")
-        result = sigma_distance(point, 0.021, reference_value=0.438 - 11 * 0.021)
-        np.testing.assert_allclose(result.distance_sigma, 11.0, rtol=1e-12)
-        assert result.passed  # default 10 sigma threshold
+        distance = sigma_distance(0.438, 0.021, reference_value=0.438 - 11 * 0.021)
+        np.testing.assert_allclose(distance, 11.0, rtol=1e-12)
 
     def test_point_on_reference(self):
-        point = SweepPoint(inverse_speed=4.0, rescaled_q=0.3, provenance="experiment")
-        result = sigma_distance(point, 0.05, reference_value=0.3)
-        assert result.distance_sigma == 0.0
-        assert not result.passed
+        assert sigma_distance(0.3, 0.05, reference_value=0.3) == 0.0
 
     def test_last_point_against_readout_error_bound(self):
         """With its own error bar the last measured point sits ~10 sigma above
         the worst-case readout boundary, within 25 percent of the originally
         reported 12.1 (which was expressed in the third point's sigma)."""
         reference = spam_correction(EXPERIMENT, SpamModel(0.004, 0.004), 7).rescaled
-        point = SweepPoint(inverse_speed=9.899, rescaled_q=0.581, provenance="experiment")
-        result = sigma_distance(point, 0.036, reference_value=reference,
-                                reference="spam_boundary", threshold=10.0)
-        np.testing.assert_allclose(result.distance_sigma, 10.254076921663811, rtol=1e-9)
-        assert abs(result.distance_sigma - 12.1) / 12.1 < 0.25
-        assert result.passed
+        distance = sigma_distance(0.581, 0.036, reference_value=reference)
+        np.testing.assert_allclose(distance, 10.254076921663811, rtol=1e-9)
+        assert abs(distance - 12.1) / 12.1 < 0.25
+        assert distance >= 10.0
 
     def test_sigma_must_be_positive(self):
-        point = SweepPoint(inverse_speed=1.0, rescaled_q=0.1, provenance="experiment")
-        with pytest.raises(ValueError):
-            sigma_distance(point, 0.0, 0.05)
+        for sigma in (0.0, -0.01):
+            with pytest.raises(ValueError, match="sigma must be > 0"):
+                sigma_distance(0.1, sigma, 0.05)
 
 
 class TestDriftScan:
