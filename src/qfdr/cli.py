@@ -38,7 +38,7 @@ SWEEP_FIELDS = ["provenance", "v_inv", "nq_rescaled"]
 CERTIFY_FIELDS = [
     "v_inv",
     "nq_exp",
-    "sigma_stat",
+    "sigma_delta",
     "ref_inc",
     "delta_inc_sigma",
     "ref_spam",
@@ -198,7 +198,7 @@ def run_certify(config: RunConfig) -> int:
         delta_spam = stats.sigma_distance(ref.nq_rescaled, ref.sigma_delta, ref_spam)
         # both comparisons, not min(): a NaN distance fails whichever one it is
         passed = delta_inc >= config.threshold and delta_spam >= config.threshold
-        rows.append({"v_inv": ref.v_inv, "nq_exp": ref.nq_rescaled, "sigma_stat": ref.sigma_delta,
+        rows.append({"v_inv": ref.v_inv, "nq_exp": ref.nq_rescaled, "sigma_delta": ref.sigma_delta,
                      "ref_inc": ref_inc, "delta_inc_sigma": delta_inc, "ref_spam": ref_spam,
                      "delta_spam_sigma": delta_spam, "pass": passed})
     _write_rows(config, CERTIFY_FIELDS, rows)

@@ -15,6 +15,7 @@ from qfdr.cli import load_config, main
 from qfdr.config import COMMANDS, FORMATS, ConfigError, RunConfig, build_config, parse_document
 from qfdr.io import read_csv_table, read_samples, render_csv
 from qfdr.protocol import KINDS
+from qfdr.reference import load_reference_points
 from qfdr.stats import bootstrap_q, estimate_from_samples
 from qfdr.qubit import ThermalSpec
 
@@ -302,8 +303,12 @@ class TestCertifyCommand:
         out = tmp_path / "certify.csv"
         code = main(["certify", "--output", str(out)])
         assert code == 0
-        _, rows = read_csv_table(out)
+        fieldnames, rows = read_csv_table(out)
         assert len(rows) == 6
+        # the column holds the sigma every distance is expressed in
+        assert "sigma_delta" in fieldnames and "sigma_stat" not in fieldnames
+        sigmas = [ref.sigma_delta for ref in load_reference_points()]
+        assert [float(row["sigma_delta"]) for row in rows] == sigmas
         for row in rows:
             assert float(row["delta_inc_sigma"]) >= 10.0
             assert float(row["delta_spam_sigma"]) >= 12.0
