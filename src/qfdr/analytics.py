@@ -165,13 +165,14 @@ def incoherent_cumulants(
 
         <W> = sum_j delta (f_j - 1/2),   Var(W) = sum_j delta^2 f_j (1 - f_j),
 
-    elementwise over an array ``omega_end``.  numpy sums the steps in order
-    for two or more entries, so an entry does not depend on its neighbours,
-    but pairwise for one: scalar and array calls agree to rounding only.
+    elementwise over an array ``omega_end``.  Each entry sums its own steps
+    along the last axis, pairwise, so a scalar call and every entry of an
+    array call give the same bits.
     """
     delta, occupied = ramp_occupations(beta, omega_start, omega_end, n)
-    mean = np.sum(delta * (occupied - 0.5), axis=0)
-    var = np.sum(delta**2 * occupied * (1.0 - occupied), axis=0)
+    delta = delta[..., None]
+    mean = np.sum(delta * (occupied - 0.5), axis=-1)
+    var = np.sum(delta**2 * occupied * (1.0 - occupied), axis=-1)
     return mean, var
 
 

@@ -183,12 +183,13 @@ def ramp_occupations(
 
     delta = (omega_end - omega_start) / N and, at the gaps omega_j =
     omega_start + j delta (j = 0 .. N-1), f_j = 1 / (1 + exp(beta omega_j))
-    with beta omega_j capped at 700.  ``f[j]`` is elementwise over an array
-    ``omega_end``.
+    with beta omega_j capped at 700.  ``f[..., j]`` is elementwise over an
+    array ``omega_end``: f has the shape of ``omega_end`` plus a last axis of
+    the N steps.
     """
     omega_end = np.asarray(omega_end, dtype=np.float64)
     delta = (omega_end - omega_start) / n
-    gaps = omega_start + np.multiply.outer(np.arange(n), delta)
+    gaps = omega_start + np.multiply.outer(delta, np.arange(n))
     return delta, 1.0 / (1.0 + np.exp(np.minimum(beta * gaps, 700.0)))
 
 

@@ -243,16 +243,14 @@ class TestIncoherentCumulants:
     )
     def test_array_entries_match_per_element_calls(self, beta, omega_ends, n):
         """Each entry of an array call is bit-identical to the same entry
-        computed alongside any other; a scalar call sums pairwise and agrees
-        to rounding, at most n ulp of same-signed terms."""
+        computed alongside any other and to a scalar call."""
         mean, var = incoherent_cumulants(beta, 1.0, np.array(omega_ends), n)
         assert mean.shape == var.shape == (len(omega_ends),)
         for i, omega_end in enumerate(omega_ends):
             pair_mean, pair_var = incoherent_cumulants(beta, 1.0, np.array([omega_end] * 2), n)
             assert mean[i] == pair_mean[0] and var[i] == pair_var[0]
             scalar_mean, scalar_var = incoherent_cumulants(beta, 1.0, omega_end, n)
-            assert math.isclose(scalar_mean, mean[i], rel_tol=1e-13)
-            assert math.isclose(scalar_var, var[i], rel_tol=1e-13)
+            assert scalar_mean == mean[i] and scalar_var == var[i]
 
 
 class TestIncoherentCorrection:
