@@ -1,5 +1,6 @@
 """Protocol engine: exact step tables, readout-error transform, seeded sampling."""
 
+import hashlib
 import math
 import os
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfdr.analytics import coherent_cumulants, incoherent_correction, incoherent_cumulants
+from qfdr.cli import main
 from qfdr.protocol import (
     COHERENT_NORM_DH,
     PROB_ATOL,
@@ -383,6 +385,33 @@ class TestSampleWork:
     def test_run_count_validated(self):
         with pytest.raises(ValueError):
             sample_work(ProtocolSpec.coherent(2, EXPERIMENT), None, runs=0, seed=1)
+
+
+class TestStreamGolden:
+    """The sampling stream and the samples-file bytes, pinned end to end.
+
+    Each ``simulate`` command writes one samples file whose sha256 is fixed:
+    a change to the Philox layout, the step tables, the sampler or the
+    writer shows here as a different digest.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--n-steps", "10", "--runs", "100000", "--workers", "2", "--seed", "0"],
+             "53aa1be78ccfd582379d577ea0faf760e3daecc9743e059525f8d6a666e70408"),
+            (["--kind", "incoherent", "--n-steps", "26", "--omega-end", "19.39",
+              "--runs", "8000", "--seed", "0"],
+             "7fb41798f20f454aa775f8de372add7ac78eb6682e70f83ba41f307f4f8fe61a"),
+            (["--n-steps", "7", "--runs", "8000", "--spam", "--seed", "0"],
+             "ed7d15344d7182422b9538920af6c24d60c1f95ee7de3628752b953b2700a67c"),
+        ],
+        ids=["coherent-n10-100k", "incoherent-n26", "coherent-n7-spam"],
+    )
+    def test_simulate_file_digest(self, tmp_path, argv, digest):
+        out = tmp_path / "samples.csv"
+        assert main(["simulate", *argv, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSampleWorkTotals:
