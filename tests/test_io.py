@@ -7,6 +7,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,3 +133,64 @@ class TestSamplesFile:
         np.testing.assert_array_equal(read.flip_counts, samples.flip_counts)
         assert read.first_excited_counts.dtype == read.flip_counts.dtype == np.int64
         assert (read.seed, read.spec, read.spam) == (seed, spec, spam)
+
+
+def _crlf(header, columns, rows):
+    return "\r\n".join([*header, columns, *rows]) + "\r\n"
+
+
+def _blank_and_note_between_rows(header, columns, rows):
+    return "\n".join([*header, columns, *rows[:3], "", "# note", *rows[3:]]) + "\n"
+
+
+def _columns_swapped(header, columns, rows):
+    swapped = [",".join(reversed(line.split(","))) for line in [columns, *rows]]
+    return "\n".join([*header, *swapped]) + "\n"
+
+
+class TestSamplesFileFormat:
+    """Layouts of one samples file that must all read as the file itself."""
+
+    @staticmethod
+    def _write_plain(path, runs=50):
+        spec = ProtocolSpec.coherent(3, ThermalSpec.from_beta(3.413))
+        samples = sample_work(spec, SpamModel(0.004, 0.01), runs, seed=6)
+        write_samples(path, samples)
+        return samples
+
+    @staticmethod
+    def _assert_same_set(actual, expected):
+        np.testing.assert_array_equal(actual.levels, expected.levels)
+        np.testing.assert_array_equal(actual.codes, expected.codes)
+        assert actual.codes.dtype == expected.codes.dtype
+        np.testing.assert_array_equal(actual.first_excited_counts, expected.first_excited_counts)
+        np.testing.assert_array_equal(actual.flip_counts, expected.flip_counts)
+        assert (actual.seed, actual.spec, actual.spam) == (expected.seed, expected.spec,
+                                                          expected.spam)
+
+    @pytest.mark.parametrize("layout", [_crlf, _blank_and_note_between_rows, _columns_swapped])
+    def test_layout_reads_as_the_plain_file(self, tmp_path, layout):
+        path = tmp_path / "samples.csv"
+        samples = self._write_plain(path)
+        plain = read_samples(path)
+        self._assert_same_set(plain, samples)
+        lines = path.read_text().splitlines()
+        n_header = sum(line.startswith("# ") for line in lines)
+        path.write_bytes(layout(lines[:n_header], lines[n_header], lines[n_header + 1:]).encode())
+        self._assert_same_set(read_samples(path), plain)
+
+    def test_single_data_row(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        samples = self._write_plain(path, runs=1)
+        read = read_samples(path)
+        assert read.runs == 1
+        self._assert_same_set(read, samples)
+
+    def test_non_numeric_total_rejected(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        self._write_plain(path)
+        lines = path.read_text().splitlines()
+        lines[-2] = lines[-2].split(",")[0] + ",abc"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            read_samples(path)
