@@ -3,8 +3,9 @@
 All floats are written with 17 significant digits and '.' decimals so that
 re-running a command with the same configuration and seed yields
 byte-identical files, and re-parsing plus re-emitting any table is the
-identity.  Sample files are written and read per distinct work level (a
-run total takes one of a few), not per row.
+identity.  Sample files are written per distinct work level (a run total
+takes one of a few), not per row, and their data rows are parsed by numpy's
+C reader (``np.loadtxt``).
 """
 
 from __future__ import annotations
@@ -58,14 +59,11 @@ def write_table(path: Path, fieldnames: list[str], rows: list[dict], fmt: str = 
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _table_lines(lines: list[str]) -> list[str]:
-    """The header and data lines of a CSV: no blank or '#' comment lines."""
-    return [line for line in lines if line and not line.startswith("#")]
-
-
 def read_csv_table(path: Path) -> tuple[list[str], list[dict]]:
-    """Parse an emitted CSV back into (fieldnames, rows of strings)."""
-    body = _table_lines(Path(path).read_text().splitlines())
+    """Parse an emitted CSV back into (fieldnames, rows of strings), skipping
+    blank and '#' comment lines."""
+    body = [line for line in Path(path).read_text().splitlines()
+            if line and not line.startswith("#")]
     fieldnames = body[0].split(",")
     rows = [dict(zip(fieldnames, line.split(","))) for line in body[1:]]
     return fieldnames, rows
@@ -98,12 +96,27 @@ def write_samples(path: Path, samples: WorkSampleSet) -> None:
 
 
 def read_samples(path: Path) -> WorkSampleSet:
-    lines = Path(path).read_text().splitlines()
+    """Parse a samples file back into the ``WorkSampleSet`` it was written from.
+
+    Header keys are read from the leading block of ``# key=value`` lines only,
+    up to the column-name line.  The data rows are parsed by numpy's C reader,
+    which skips blank and ``#`` lines among them; a total that is not a
+    number raises ``ValueError``.
+    """
     header: dict[str, str] = {}
-    for line in lines:
-        if line.startswith("# ") and "=" in line:
-            key, _, value = line[2:].partition("=")
-            header[key] = value
+    consumed = 0
+    with open(path) as handle:
+        for line in handle:
+            consumed += 1
+            line = line.rstrip("\n")
+            if line.startswith("# ") and "=" in line:
+                key, _, value = line[2:].partition("=")
+                header[key] = value
+            elif line and not line.startswith("#"):
+                column = line.split(",").index("total_work")
+                break
+        else:
+            raise ValueError(f"{path}: no column-name line")
     thermal = ThermalSpec.from_beta(float(header["beta"]))
     spec = ProtocolSpec(
         kind=header["kind"],
@@ -118,11 +131,9 @@ def read_samples(path: Path) -> WorkSampleSet:
             p_bright_given_0=float(header["spam_bright"]),
             p_dark_given_1=float(header["spam_dark"]),
         )
-    body = _table_lines(lines)
-    column = body[0].split(",").index("total_work")
-    texts = [line.split(",")[column] for line in body[1:]]
-    parsed = {text: float(text) for text in set(texts)}
+    totals = np.loadtxt(path, delimiter=",", comments="#", usecols=column,
+                        skiprows=consumed, ndmin=1)
     counts = {key: np.array(header[key].split(","), dtype=np.int64)
               for key in ("first_excited_counts", "flip_counts")}
-    return WorkSampleSet.from_totals(np.array([parsed[text] for text in texts]), **counts,
-                                     seed=int(header["seed"]), spec=spec, spam=spam)
+    return WorkSampleSet.from_totals(totals, **counts, seed=int(header["seed"]),
+                                     spec=spec, spam=spam)

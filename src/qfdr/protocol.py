@@ -19,7 +19,9 @@ total is just a sum of independent draws from the per-step tables.  One
 joint (work, first readout) table per step, ``step_table``, serves both
 ``sample_work`` and the exact per-run law the bootstrap resamples.  Sampling
 uses a counter-based Philox stream partitioned per run, which makes results
-bit-for-bit identical no matter how the runs are split across workers.
+bit-for-bit identical no matter how the runs are split across workers; each
+worker draws its runs in blocks of ``_BLOCK_RUNS``, which caps the sampler's
+memory and does not change the stream.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ PROB_ATOL = 1e-12
 # Philox advances its counter in blocks of four 64-bit words and one double
 # consumes one word, so per-run draw budgets must be a multiple of 4.
 _PHILOX_BLOCK = 4
+
+# Runs drawn per block of ``sample_work``'s sampler: it holds a few arrays of
+# _BLOCK_RUNS x N cells at a time, not of runs x N.
+_BLOCK_RUNS = 4096
 
 
 @dataclass(frozen=True)
@@ -333,19 +339,28 @@ def _sample_chunk(
     table: StepTable, seed: int, start_run: int, n_runs: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # one double per step, padded to the Philox block size so per-run
-    # counter offsets stay aligned
+    # counter offsets stay aligned; for the same reason successive blocks of
+    # runs read the stream exactly as one draw for the whole chunk would
     n = table.probs.shape[0]
     budget = -(-n // _PHILOX_BLOCK) * _PHILOX_BLOCK
     bit_generator = Philox(key=seed)
     bit_generator.advance(start_run * (budget // _PHILOX_BLOCK))
-    u = Generator(bit_generator).random((n_runs, budget))[:, :n]
-    # cell index 2 l + k of each step by inverse-CDF lookup in its row
-    cell = np.zeros(u.shape, dtype=np.int8)
-    for bound in table.probs.reshape(n, -1).cumsum(axis=1)[:, :-1].T:
-        cell += u >= bound
-    level, first = np.divmod(cell, 2)
-    totals = table.works[level].sum(axis=1)
-    return totals, first.sum(axis=0, dtype=np.int64), table.flips[level].sum(axis=0, dtype=np.int64)
+    rng = Generator(bit_generator)
+    cdf = table.probs.reshape(n, -1).cumsum(axis=1)[:, :-1].T
+    totals = np.empty(n_runs)
+    first_counts = np.zeros(n, dtype=np.int64)
+    flip_counts = np.zeros(n, dtype=np.int64)
+    for start in range(0, n_runs, _BLOCK_RUNS):
+        u = rng.random((min(_BLOCK_RUNS, n_runs - start), budget))[:, :n]
+        # cell index 2 l + k of each step by inverse-CDF lookup in its row
+        cell = np.zeros(u.shape, dtype=np.int8)
+        for bound in cdf:
+            cell += u >= bound
+        level, first = np.divmod(cell, 2)
+        totals[start : start + len(u)] = table.works[level].sum(axis=1)
+        first_counts += first.sum(axis=0, dtype=np.int64)
+        flip_counts += table.flips[level].sum(axis=0, dtype=np.int64)
+    return totals, first_counts, flip_counts
 
 
 def sample_work(
@@ -362,7 +377,7 @@ def sample_work(
     fixed slice of a counter-based random stream, so any partition of the
     runs across ``workers`` yields the same totals as a single-worker
     execution.  The runs are split into at most ``os.cpu_count()`` chunks,
-    one per thread.
+    one per thread, and each chunk is drawn in blocks of ``_BLOCK_RUNS`` runs.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from qfdr.analytics import coherent_cumulants, incoherent_correction, incoherent_cumulants
 from qfdr.cli import main
 from qfdr.protocol import (
+    _BLOCK_RUNS,
     COHERENT_NORM_DH,
     PROB_ATOL,
     ProtocolSpec,
@@ -308,6 +310,34 @@ class TestSampleWork:
         np.testing.assert_array_equal(serial.codes, parallel.codes)
         np.testing.assert_array_equal(serial.first_excited_counts, parallel.first_excited_counts)
         np.testing.assert_array_equal(serial.flip_counts, parallel.flip_counts)
+
+    @pytest.mark.parametrize("kind", ["coherent+spam", "incoherent"])
+    def test_partition_across_run_blocks(self, kind):
+        """One worker draws 2 full blocks and 3 runs more; three workers draw
+        chunks shorter than a block.  Both read the same stream."""
+        if kind == "incoherent":
+            spec, spam = ProtocolSpec.incoherent(26, EXPERIMENT, 1.0, 19.39), None
+        else:
+            spec, spam = ProtocolSpec.coherent(10, EXPERIMENT), SpamModel(0.004, 0.01)
+        runs = 2 * _BLOCK_RUNS + 3
+        with mock.patch("os.cpu_count", return_value=8):
+            serial = sample_work(spec, spam, runs, seed=21, workers=1)
+            parallel = sample_work(spec, spam, runs, seed=21, workers=3)
+        np.testing.assert_array_equal(serial.levels, parallel.levels)
+        np.testing.assert_array_equal(serial.codes, parallel.codes)
+        np.testing.assert_array_equal(serial.first_excited_counts, parallel.first_excited_counts)
+        np.testing.assert_array_equal(serial.flip_counts, parallel.flip_counts)
+
+    def test_sampler_memory_is_bounded(self):
+        """The traced peak stays far below the 100k x 64 draws of one array
+        (51 MB of doubles alone)."""
+        tracemalloc.start()
+        try:
+            sample_work(ProtocolSpec.coherent(64, EXPERIMENT), None, runs=100_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_ground_state_work_is_non_negative(self):
         cold = ThermalSpec.from_beta(math.inf)
