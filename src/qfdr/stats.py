@@ -169,8 +169,6 @@ class DriftReport:
     """Binned-spread diagnostic for slow parameter drifts."""
 
     bins: int
-    bin_size: int
-    frequency: float
     observed_spread: float
     expected_spread: float
     excess_spread: float
@@ -202,8 +200,6 @@ def drift_scan(outcomes: np.ndarray, bin_size: int) -> DriftReport:
     excess = observed - expected
     return DriftReport(
         bins=n_bins,
-        bin_size=bin_size,
-        frequency=p_hat,
         observed_spread=observed,
         expected_spread=expected,
         excess_spread=excess,
