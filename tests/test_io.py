@@ -194,3 +194,11 @@ class TestSamplesFileFormat:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             read_samples(path)
+
+    def test_file_without_column_line_rejected(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        self._write_plain(path)
+        header = [line for line in path.read_text().splitlines() if line.startswith("# ")]
+        path.write_text("\n".join(header) + "\n")
+        with pytest.raises(ValueError, match="no column-name line"):
+            read_samples(path)
