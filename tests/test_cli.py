@@ -1,5 +1,6 @@
 """Configuration parsing, command orchestration, file stability, exit codes."""
 
+import hashlib
 import json
 import math
 from dataclasses import fields
@@ -411,6 +412,23 @@ class TestDeterminismAndStability:
         assert main(["certify", "--output", str(out)]) == 0
         fieldnames, rows = read_csv_table(out)
         assert render_csv(fieldnames, rows) == out.read_text()
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["temperature-profile", "--n-steps", "2,5"],
+             "b8ca62fb8e85b4b99f99ae031e4f0813f5629cb0b14ecc905685593cd31686d0"),
+            (["analytic", "--n-steps", "2,3,4,5,6,7"],
+             "596bf1a97f4ceac308ad54fd2ee173add689fcbd3b8c63a22c4aec1e048a8e02"),
+        ],
+        ids=["temperature-profile", "analytic"],
+    )
+    def test_json_file_digest(self, tmp_path, argv, digest):
+        """Both commands compute with ``math`` alone, so their JSON bytes do
+        not depend on numpy's vectorised kernels."""
+        out = tmp_path / "out.json"
+        assert main([*argv, "--format", "json", "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestExitCodes:
