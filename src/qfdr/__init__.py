@@ -27,7 +27,7 @@ from .protocol import (
     coherent_step_distribution,
     sample_work,
 )
-from .qubit import ThermalSpec, gibbs_state, population_to_beta, rotation
+from .qubit import ThermalSpec, population_to_beta
 from .reference import load_reference_points
 from .stats import (
     BootstrapReport,
@@ -61,13 +61,11 @@ __all__ = [
     "delta_free_energy",
     "drift_scan",
     "estimate_from_samples",
-    "gibbs_state",
     "incoherent_correction",
     "incoherent_region_sweep",
     "load_reference_points",
     "population_to_beta",
     "quantum_correction",
-    "rotation",
     "sample_work",
     "sigma_distance",
     "spam_correction",

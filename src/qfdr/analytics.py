@@ -242,7 +242,7 @@ def temperature_profile(n_steps: int, betas: list[float]) -> list[FdrEstimate]:
     for beta in betas:
         if beta < 0.0:
             raise ValueError(f"betas must be >= 0, got {beta}")
-        spec = ProtocolSpec.coherent(n_steps, ThermalSpec.from_beta(beta))
+        spec = ProtocolSpec(COHERENT, n_steps, ThermalSpec.from_beta(beta))
         estimates.append(quantum_correction(spec))
     return estimates
 
@@ -328,7 +328,7 @@ def coherent_theory_curve(beta: float, n_values: np.ndarray) -> np.ndarray:
     """Rescaled coherent correction at each step count of ``n_values``."""
     thermal = ThermalSpec.from_beta(beta)
     return np.array(
-        [quantum_correction(ProtocolSpec.coherent(int(n), thermal)).rescaled for n in n_values]
+        [quantum_correction(ProtocolSpec(COHERENT, int(n), thermal)).rescaled for n in n_values]
     )
 
 

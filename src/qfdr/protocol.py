@@ -101,22 +101,6 @@ class ProtocolSpec:
             if not (0.0 < self.omega_start < math.inf and 0.0 < self.omega_end < math.inf):
                 raise ValueError("incoherent gaps must be finite and positive")
 
-    @classmethod
-    def coherent(cls, n_steps: int, thermal: ThermalSpec) -> "ProtocolSpec":
-        return cls(kind=COHERENT, n_steps=n_steps, thermal=thermal)
-
-    @classmethod
-    def incoherent(
-        cls, n_steps: int, thermal: ThermalSpec, omega_start: float, omega_end: float
-    ) -> "ProtocolSpec":
-        return cls(
-            kind=INCOHERENT,
-            n_steps=n_steps,
-            thermal=thermal,
-            omega_start=omega_start,
-            omega_end=omega_end,
-        )
-
     @property
     def step_angle(self) -> float:
         """Per-step rotation angle of the coherent protocol, pi/(2N)."""
@@ -130,11 +114,6 @@ class ProtocolSpec:
         if self.kind == COHERENT:
             return COHERENT_NORM_DH
         return abs(self.omega_end - self.omega_start) / 2.0
-
-    @property
-    def speed(self) -> float:
-        """Driving speed, norm of the Hamiltonian change per step."""
-        return self.norm_dh / self.n_steps
 
 
 @dataclass(frozen=True)

@@ -42,12 +42,14 @@ from qfdr.analytics import (
 from qfdr.cli import main
 from qfdr.io import read_csv_table
 from qfdr.protocol import (
+    COHERENT,
+    INCOHERENT,
     ProtocolSpec,
     SpamModel,
     coherent_step_distribution,
     sample_work,
 )
-from qfdr.qubit import ThermalSpec, tpm_step_distribution
+from qfdr.qubit import ThermalSpec
 from qfdr.reference import load_reference_points
 from qfdr.stats import (
     beta_error,
@@ -56,6 +58,8 @@ from qfdr.stats import (
     drift_scan,
     estimate_from_samples,
 )
+
+from oracle import tpm_step_distribution
 
 BETA = 3.413
 EXPERIMENT = ThermalSpec.from_beta(BETA)
@@ -71,7 +75,7 @@ def test_criterion_1_table_consistency():
     references = load_reference_points()
     distances = []
     for ref in references:
-        theory = quantum_correction(ProtocolSpec.coherent(ref.n_steps, EXPERIMENT)).rescaled
+        theory = quantum_correction(ProtocolSpec(COHERENT, ref.n_steps, EXPERIMENT)).rescaled
         distances.append(abs(theory - ref.nq_rescaled) / ref.sigma_stat)
     elapsed = time.perf_counter() - start
 
@@ -91,7 +95,7 @@ def test_criterion_1_table_consistency():
 
 def test_criterion_2_monte_carlo_fidelity():
     start = time.perf_counter()
-    spec = ProtocolSpec.coherent(2, EXPERIMENT)
+    spec = ProtocolSpec(COHERENT, 2, EXPERIMENT)
     samples = sample_work(spec, None, runs=8000, seed=20230413)
     estimate = estimate_from_samples(samples)
     report = bootstrap_q(EXPERIMENT, 2, 8000, resamples=200, seed=20230413)
@@ -116,7 +120,7 @@ def test_criterion_3_scaling_trichotomy():
     start = time.perf_counter()
     steps = list(range(2, 65))
     coherent = {
-        n: quantum_correction(ProtocolSpec.coherent(n, EXPERIMENT)).rescaled for n in steps
+        n: quantum_correction(ProtocolSpec(COHERENT, n, EXPERIMENT)).rescaled for n in steps
     }
     increasing = all(coherent[n] < coherent[n + 1] for n in steps[:-1])
     asymptote = coherent_asymptote(BETA)
@@ -125,8 +129,8 @@ def test_criterion_3_scaling_trichotomy():
     halving_ok = True
     ratios = []
     for n in (2, 4, 8, 16, 32):
-        a = incoherent_correction(ProtocolSpec.incoherent(n, EXPERIMENT, 1.0, 2.0)).rescaled
-        b = incoherent_correction(ProtocolSpec.incoherent(2 * n, EXPERIMENT, 1.0, 2.0)).rescaled
+        a = incoherent_correction(ProtocolSpec(INCOHERENT, n, EXPERIMENT, 1.0, 2.0)).rescaled
+        b = incoherent_correction(ProtocolSpec(INCOHERENT, 2 * n, EXPERIMENT, 1.0, 2.0)).rescaled
         ratios.append(b / a)
         halving_ok &= 0.5 * 0.85 <= b / a <= 0.5 * 1.15
 
@@ -187,7 +191,7 @@ def test_criterion_5_temperature_profile_shape():
     values = [e.rescaled for e in profile]
     monotone = all(b >= a for a, b in zip(values, values[1:]))
     anchor = temperature_profile(5, [BETA])[0]
-    machinery = quantum_correction(ProtocolSpec.coherent(5, EXPERIMENT))
+    machinery = quantum_correction(ProtocolSpec(COHERENT, 5, EXPERIMENT))
     anchored = anchor.rescaled == machinery.rescaled
 
     detail = f"Q(0)={profile[0].q_value}, monotone={monotone}, anchor match={anchored}"
@@ -226,7 +230,7 @@ def test_criterion_5_high_temperature_quadratic_claim():
     oracle_gap = 0.0
     for estimate in profile:
         thermal = ThermalSpec.from_beta(estimate.beta)
-        angle = ProtocolSpec.coherent(n_steps, thermal).step_angle
+        angle = ProtocolSpec(COHERENT, n_steps, thermal).step_angle
         works, probs = tpm_step_distribution(thermal, angle)
         step_mean = float(works @ probs)
         step_var = float(works**2 @ probs) - step_mean**2
@@ -253,7 +257,7 @@ def test_criterion_6_oracle_equivalence():
     worst = 0.0
     for n, beta in itertools.product(range(1, 33), betas):
         thermal = ThermalSpec.from_beta(float(beta))
-        spec = ProtocolSpec.coherent(n, thermal)
+        spec = ProtocolSpec(COHERENT, n, thermal)
         closed = coherent_step_distribution(spec)
         _, oracle_probs = tpm_step_distribution(thermal, spec.step_angle)
         worst = max(worst, float(np.max(np.abs(closed.probs - oracle_probs))))
@@ -261,7 +265,7 @@ def test_criterion_6_oracle_equivalence():
     worst_moments = 0.0
     for n in range(1, 7):
         for beta in rng.uniform(0.0, 6.0, size=3):
-            spec = ProtocolSpec.coherent(n, ThermalSpec.from_beta(float(beta)))
+            spec = ProtocolSpec(COHERENT, n, ThermalSpec.from_beta(float(beta)))
             table = coherent_step_distribution(spec)
             mean_ref = 0.0
             second_ref = 0.0

@@ -29,6 +29,8 @@ from qfdr.analytics import (
     temperature_profile,
 )
 from qfdr.protocol import (
+    COHERENT,
+    INCOHERENT,
     ProtocolSpec,
     SpamModel,
     StepTable,
@@ -60,7 +62,7 @@ def enumerate_total_work_cumulants(step_tables):
 
 class TestCoherentCumulants:
     def test_experiment_point(self):
-        mean, var = coherent_cumulants(ProtocolSpec.coherent(2, EXPERIMENT))
+        mean, var = coherent_cumulants(ProtocolSpec(COHERENT, 2, EXPERIMENT))
         np.testing.assert_allclose(mean, 0.27421152651749037, rtol=1e-14)
         np.testing.assert_allclose(var, 0.2552972381759263, rtol=1e-14)
         np.testing.assert_allclose(mean, 0.27418, atol=5e-5)
@@ -69,12 +71,12 @@ class TestCoherentCumulants:
     def test_infinite_temperature_mean_vanishes(self):
         hot = ThermalSpec.from_beta(0.0)
         for n in (1, 3, 17):
-            mean, _ = coherent_cumulants(ProtocolSpec.coherent(n, hot))
+            mean, _ = coherent_cumulants(ProtocolSpec(COHERENT, n, hot))
             assert mean == 0.0
 
     def test_single_cold_step(self):
         cold = ThermalSpec.from_beta(math.inf)
-        mean, var = coherent_cumulants(ProtocolSpec.coherent(1, cold))
+        mean, var = coherent_cumulants(ProtocolSpec(COHERENT, 1, cold))
         np.testing.assert_allclose(mean, 0.5, atol=1e-14)
         np.testing.assert_allclose(var, 0.25, atol=1e-14)
 
@@ -83,7 +85,7 @@ class TestCoherentCumulants:
         rng = np.random.default_rng(60221023)
         for n in range(1, 7):
             for beta in rng.uniform(0.0, 6.0, size=4):
-                spec = ProtocolSpec.coherent(n, ThermalSpec.from_beta(float(beta)))
+                spec = ProtocolSpec(COHERENT, n, ThermalSpec.from_beta(float(beta)))
                 tables = [coherent_step_distribution(spec)] * n
                 mean_ref, var_ref = enumerate_total_work_cumulants(tables)
                 mean, var = coherent_cumulants(spec)
@@ -92,7 +94,7 @@ class TestCoherentCumulants:
 
     def test_moment_sums_of_step_distribution(self):
         for n in (1, 5, 23):
-            spec = ProtocolSpec.coherent(n, EXPERIMENT)
+            spec = ProtocolSpec(COHERENT, n, EXPERIMENT)
             dist = coherent_step_distribution(spec)
             mean, var = coherent_cumulants(spec)
             np.testing.assert_allclose(mean, n * dist.mean(), atol=1e-12)
@@ -100,14 +102,14 @@ class TestCoherentCumulants:
 
     def test_rejects_incoherent_spec(self):
         with pytest.raises(ValueError):
-            coherent_cumulants(ProtocolSpec.incoherent(3, EXPERIMENT, 1.0, 2.0))
+            coherent_cumulants(ProtocolSpec(INCOHERENT, 3, EXPERIMENT, 1.0, 2.0))
 
 
 class TestDeltaFreeEnergy:
     def test_coherent_is_exactly_zero(self):
         """A rotation leaves the spectrum alone; the coherent estimate states dF = 0."""
         for n in (1, 4, 50):
-            assert quantum_correction(ProtocolSpec.coherent(n, EXPERIMENT)).delta_f == 0.0
+            assert quantum_correction(ProtocolSpec(COHERENT, n, EXPERIMENT)).delta_f == 0.0
 
     def test_degenerate_ramp(self):
         assert delta_free_energy(EXPERIMENT.beta, 1.3, 1.3) == 0.0
@@ -127,11 +129,11 @@ class TestDeltaFreeEnergy:
 
     def test_quasi_static_work_approaches_delta_f_from_above(self):
         """Dissipated work is non-negative and vanishes in the slow limit."""
-        spec_slow = ProtocolSpec.incoherent(4000, EXPERIMENT, 1.0, 2.0)
+        spec_slow = ProtocolSpec(INCOHERENT, 4000, EXPERIMENT, 1.0, 2.0)
         estimate = incoherent_correction(spec_slow)
         assert estimate.mean_work >= estimate.delta_f
         assert estimate.mean_work - estimate.delta_f < 1e-4
-        spec_fast = ProtocolSpec.incoherent(2, EXPERIMENT, 1.0, 2.0)
+        spec_fast = ProtocolSpec(INCOHERENT, 2, EXPERIMENT, 1.0, 2.0)
         fast = incoherent_correction(spec_fast)
         assert fast.mean_work - fast.delta_f > estimate.mean_work - estimate.delta_f
 
@@ -152,14 +154,14 @@ class TestDeltaFreeEnergy:
 
 class TestQuantumCorrection:
     def test_experiment_two_step_value(self):
-        estimate = quantum_correction(ProtocolSpec.coherent(2, EXPERIMENT))
+        estimate = quantum_correction(ProtocolSpec(COHERENT, 2, EXPERIMENT))
         np.testing.assert_allclose(estimate.rescaled, 0.4566586397567969, rtol=1e-14)
         assert round(estimate.rescaled, 3) == 0.457
         # within one statistical sigma of the measured 0.438 +- 0.021
         assert abs(estimate.rescaled - 0.438) <= 0.021
 
     def test_infinite_temperature_gives_zero(self):
-        estimate = quantum_correction(ProtocolSpec.coherent(5, ThermalSpec.from_beta(0.0)))
+        estimate = quantum_correction(ProtocolSpec(COHERENT, 5, ThermalSpec.from_beta(0.0)))
         assert estimate.q_value == 0.0
         assert estimate.rescaled == 0.0
 
@@ -167,11 +169,11 @@ class TestQuantumCorrection:
         asym = coherent_asymptote(3.413)
         np.testing.assert_allclose(asym, 0.6719628070818514, rtol=1e-14)
         np.testing.assert_allclose(asym, 0.672, atol=5e-4)
-        huge = quantum_correction(ProtocolSpec.coherent(10**6, EXPERIMENT))
+        huge = quantum_correction(ProtocolSpec(COHERENT, 10**6, EXPERIMENT))
         np.testing.assert_allclose(huge.rescaled, asym, rtol=1e-9)
 
     def test_internal_identity(self):
-        estimate = quantum_correction(ProtocolSpec.coherent(7, EXPERIMENT))
+        estimate = quantum_correction(ProtocolSpec(COHERENT, 7, EXPERIMENT))
         reconstructed = estimate.beta / 2.0 * estimate.var_work - (
             estimate.mean_work - estimate.delta_f
         )
@@ -182,17 +184,17 @@ class TestQuantumCorrection:
         for _ in range(60):
             n = int(rng.integers(2, 100))
             beta = float(rng.uniform(0.0, 8.0))
-            estimate = quantum_correction(ProtocolSpec.coherent(n, ThermalSpec.from_beta(beta)))
+            estimate = quantum_correction(ProtocolSpec(COHERENT, n, ThermalSpec.from_beta(beta)))
             assert estimate.q_value >= 0.0
 
     def test_single_step_counterexample(self):
         """A half-turn step is outside the slow-driving regime: the correction
         can dip below zero there, unlike every N >= 2."""
-        estimate = quantum_correction(ProtocolSpec.coherent(1, ThermalSpec.from_beta(2.0)))
+        estimate = quantum_correction(ProtocolSpec(COHERENT, 1, ThermalSpec.from_beta(2.0)))
         np.testing.assert_allclose(estimate.q_value, -0.025803492574375808, rtol=1e-12)
 
     def test_source_tag(self):
-        estimate = quantum_correction(ProtocolSpec.coherent(2, EXPERIMENT))
+        estimate = quantum_correction(ProtocolSpec(COHERENT, 2, EXPERIMENT))
         assert estimate.source == "analytic"
         with pytest.raises(ValueError):
             FdrEstimate(0, 0, 0, 0, 0, 0, source="guesswork")
@@ -209,7 +211,7 @@ def work_marginals(spec):
 
 
 def step_moment_sums(beta, omega_start, omega_end, n):
-    spec = ProtocolSpec.incoherent(n, ThermalSpec.from_beta(beta), omega_start, omega_end)
+    spec = ProtocolSpec(INCOHERENT, n, ThermalSpec.from_beta(beta), omega_start, omega_end)
     tables = work_marginals(spec)
     return sum(t.mean() for t in tables), sum(t.variance() for t in tables)
 
@@ -255,18 +257,18 @@ class TestIncoherentCumulants:
 
 class TestIncoherentCorrection:
     def test_degenerate_ramp_is_zero(self):
-        estimate = incoherent_correction(ProtocolSpec.incoherent(6, EXPERIMENT, 1.0, 1.0))
+        estimate = incoherent_correction(ProtocolSpec(INCOHERENT, 6, EXPERIMENT, 1.0, 1.0))
         assert estimate.q_value == 0.0
         assert estimate.rescaled == 0.0
 
     def test_infinite_temperature_is_zero(self):
         hot = ThermalSpec.from_beta(0.0)
-        estimate = incoherent_correction(ProtocolSpec.incoherent(6, hot, 1.0, 2.0))
+        estimate = incoherent_correction(ProtocolSpec(INCOHERENT, 6, hot, 1.0, 2.0))
         assert abs(estimate.q_value) < 1e-15
 
     def test_inverse_n_decay(self):
-        slow = incoherent_correction(ProtocolSpec.incoherent(40, EXPERIMENT, 1.0, 2.0))
-        fast = incoherent_correction(ProtocolSpec.incoherent(20, EXPERIMENT, 1.0, 2.0))
+        slow = incoherent_correction(ProtocolSpec(INCOHERENT, 40, EXPERIMENT, 1.0, 2.0))
+        fast = incoherent_correction(ProtocolSpec(INCOHERENT, 20, EXPERIMENT, 1.0, 2.0))
         np.testing.assert_allclose(fast.rescaled, 0.0017624897531278664, rtol=1e-12)
         np.testing.assert_allclose(slow.rescaled, 0.0008642478817085528, rtol=1e-12)
         assert slow.rescaled <= 0.5 * fast.rescaled
@@ -277,13 +279,13 @@ class TestIncoherentCorrection:
             beta = float(rng.uniform(0.0, 6.0))
             omega_end = float(rng.uniform(1.0, 8.0))
             n = int(rng.integers(1, 60))
-            spec = ProtocolSpec.incoherent(n, ThermalSpec.from_beta(beta), 1.0, omega_end)
+            spec = ProtocolSpec(INCOHERENT, n, ThermalSpec.from_beta(beta), 1.0, omega_end)
             assert incoherent_correction(spec).q_value >= -1e-12
 
     def test_gap_decreasing_ramp_can_go_negative(self):
         """Ramping into a smaller gap dissipates more than (beta/2)Var covers,
         so the correction is genuinely negative there."""
-        spec = ProtocolSpec.incoherent(1, EXPERIMENT, 1.0, 0.3)
+        spec = ProtocolSpec(INCOHERENT, 1, EXPERIMENT, 1.0, 0.3)
         estimate = incoherent_correction(spec)
         np.testing.assert_allclose(estimate.q_value, -0.03228052767971179, rtol=1e-12)
 
@@ -293,7 +295,7 @@ class TestIncoherentCorrection:
             n = int(rng.integers(1, 6))
             beta = float(rng.uniform(0.0, 4.0))
             omega_end = float(rng.uniform(0.3, 4.0))
-            spec = ProtocolSpec.incoherent(n, ThermalSpec.from_beta(beta), 1.0, omega_end)
+            spec = ProtocolSpec(INCOHERENT, n, ThermalSpec.from_beta(beta), 1.0, omega_end)
             mean_ref, var_ref = enumerate_total_work_cumulants(work_marginals(spec))
             estimate = incoherent_correction(spec)
             np.testing.assert_allclose(estimate.mean_work, mean_ref, atol=1e-12)
@@ -301,7 +303,7 @@ class TestIncoherentCorrection:
 
     def test_rejects_coherent_spec(self):
         with pytest.raises(ValueError):
-            incoherent_correction(ProtocolSpec.coherent(3, EXPERIMENT))
+            incoherent_correction(ProtocolSpec(COHERENT, 3, EXPERIMENT))
 
 
 class TestSpamCorrection:
@@ -487,11 +489,11 @@ class TestScalingTrichotomy:
         """Coherent plateaus, incoherent decays, readout errors grow."""
         spam = SpamModel(0.004, 0.004)
         coherent = [
-            quantum_correction(ProtocolSpec.coherent(n, EXPERIMENT)).rescaled
+            quantum_correction(ProtocolSpec(COHERENT, n, EXPERIMENT)).rescaled
             for n in (8, 16, 32, 64)
         ]
         incoherent = [
-            incoherent_correction(ProtocolSpec.incoherent(n, EXPERIMENT, 1.0, 2.0)).rescaled
+            incoherent_correction(ProtocolSpec(INCOHERENT, n, EXPERIMENT, 1.0, 2.0)).rescaled
             for n in (8, 16, 32, 64)
         ]
         spam_values = [spam_correction(EXPERIMENT, spam, n).q_value for n in (8, 16, 32, 64)]
@@ -511,7 +513,7 @@ class TestScalingTrichotomy:
         curve = coherent_theory_curve(3.413, np.array([2, 3]))
         assert curve.dtype == np.float64 and curve.shape == (2,)
         assert curve.tolist() == [
-            quantum_correction(ProtocolSpec.coherent(n, EXPERIMENT)).rescaled for n in (2, 3)
+            quantum_correction(ProtocolSpec(COHERENT, n, EXPERIMENT)).rescaled for n in (2, 3)
         ]
         bound = spam_bound_curve(3.413, SpamModel(0.004, 0.004), np.array([7]))
         assert bound.dtype == np.float64 and bound.shape == (1,)

@@ -20,7 +20,7 @@ from qfdr.io import (
     render_json,
     write_samples,
 )
-from qfdr.protocol import ProtocolSpec, SpamModel, sample_work
+from qfdr.protocol import COHERENT, INCOHERENT, ProtocolSpec, SpamModel, sample_work
 from qfdr.qubit import ThermalSpec
 
 # cell text that survives a CSV line: no comma, no line break, no leading '#'
@@ -48,10 +48,10 @@ def sample_setups(draw):
     n_steps = draw(st.integers(1, 12))
     if draw(st.booleans()):
         spam = draw(st.none() | st.builds(SpamModel, st.floats(0.0, 0.49), st.floats(0.0, 0.49)))
-        return ProtocolSpec.coherent(n_steps, thermal), spam
+        return ProtocolSpec(COHERENT, n_steps, thermal), spam
     omega_start = draw(st.floats(0.05, 20.0))
     omega_end = draw(st.just(omega_start) | st.floats(0.05, 20.0))
-    return ProtocolSpec.incoherent(n_steps, thermal, omega_start, omega_end), None
+    return ProtocolSpec(INCOHERENT, n_steps, thermal, omega_start, omega_end), None
 
 
 def _assert_same_text(actual: str, expected: str) -> None:
@@ -153,7 +153,7 @@ class TestSamplesFileFormat:
 
     @staticmethod
     def _write_plain(path, runs=50):
-        spec = ProtocolSpec.coherent(3, ThermalSpec.from_beta(3.413))
+        spec = ProtocolSpec(COHERENT, 3, ThermalSpec.from_beta(3.413))
         samples = sample_work(spec, SpamModel(0.004, 0.01), runs, seed=6)
         write_samples(path, samples)
         return samples

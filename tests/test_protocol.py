@@ -15,7 +15,9 @@ from qfdr.analytics import coherent_cumulants, incoherent_correction, incoherent
 from qfdr.cli import main
 from qfdr.protocol import (
     _BLOCK_RUNS,
+    COHERENT,
     COHERENT_NORM_DH,
+    INCOHERENT,
     PROB_ATOL,
     ProtocolSpec,
     SpamModel,
@@ -29,13 +31,9 @@ from qfdr.protocol import (
     sample_work,
     step_table,
 )
-from qfdr.qubit import (
-    ThermalSpec,
-    gibbs_state,
-    measure_energy_basis,
-    thermal_population,
-    tpm_step_distribution,
-)
+from qfdr.qubit import ThermalSpec, population_to_beta, thermal_population
+
+from oracle import gibbs_state, measure_energy_basis, tpm_step_distribution
 
 EXPERIMENT = ThermalSpec.from_beta(3.413)
 
@@ -43,17 +41,15 @@ EXPERIMENT = ThermalSpec.from_beta(3.413)
 class TestProtocolSpec:
     def test_coherent_step_angle(self):
         for n in (1, 2, 7, 64):
-            spec = ProtocolSpec.coherent(n, EXPERIMENT)
+            spec = ProtocolSpec(COHERENT, n, EXPERIMENT)
             assert spec.step_angle == math.pi / (2 * n)
             assert abs(n * spec.step_angle - math.pi / 2.0) < 1e-15
 
-    def test_norms_and_speed(self):
-        coherent = ProtocolSpec.coherent(4, EXPERIMENT)
+    def test_norm_dh(self):
+        coherent = ProtocolSpec(COHERENT, 4, EXPERIMENT)
         assert coherent.norm_dh == COHERENT_NORM_DH == 1.0 / math.sqrt(2.0)
-        assert coherent.speed == COHERENT_NORM_DH / 4
-        incoherent = ProtocolSpec.incoherent(10, EXPERIMENT, 1.0, 2.0)
+        incoherent = ProtocolSpec(INCOHERENT, 10, EXPERIMENT, 1.0, 2.0)
         assert incoherent.norm_dh == 0.5
-        assert incoherent.speed == 0.05
 
     def test_gap_schedule(self):
         delta, excited = ramp_occupations(2.0, 1.0, 3.0, 4)
@@ -63,21 +59,21 @@ class TestProtocolSpec:
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
-            ProtocolSpec.coherent(0, EXPERIMENT)
+            ProtocolSpec(COHERENT, 0, EXPERIMENT)
         for gaps in ((-1.0, 2.0), (math.nan, 2.0), (1.0, math.nan), (1.0, math.inf), (math.inf, 2.0)):
             with pytest.raises(ValueError, match="finite and positive"):
-                ProtocolSpec.incoherent(3, EXPERIMENT, *gaps)
+                ProtocolSpec(INCOHERENT, 3, EXPERIMENT, *gaps)
         with pytest.raises(ValueError):
             ProtocolSpec(kind="quenchy", n_steps=3, thermal=EXPERIMENT)
 
     def test_kind_guards(self):
-        incoherent = ProtocolSpec.incoherent(3, EXPERIMENT, 1.0, 2.0)
+        incoherent = ProtocolSpec(INCOHERENT, 3, EXPERIMENT, 1.0, 2.0)
         with pytest.raises(ValueError):
             _ = incoherent.step_angle
         with pytest.raises(ValueError):
             coherent_step_distribution(incoherent)
         with pytest.raises(ValueError):
-            incoherent_correction(ProtocolSpec.coherent(3, EXPERIMENT))
+            incoherent_correction(ProtocolSpec(COHERENT, 3, EXPERIMENT))
 
 
 class TestStepWorkDistribution:
@@ -98,8 +94,8 @@ class TestStepWorkDistribution:
 
 class TestCoherentStepDistribution:
     def test_two_step_example(self):
-        thermal = ThermalSpec.from_population(0.032)
-        dist = coherent_step_distribution(ProtocolSpec.coherent(2, thermal))
+        thermal = ThermalSpec.from_beta(population_to_beta(0.032))
+        dist = coherent_step_distribution(ProtocolSpec(COHERENT, 2, thermal))
         s = math.sin(math.pi / 8.0) ** 2
         np.testing.assert_allclose(dist.probs, [0.032 * s, 1.0 - s, 0.968 * s], rtol=1e-14)
         np.testing.assert_allclose(dist.probs[2], 0.141765, atol=1e-5)
@@ -108,11 +104,11 @@ class TestCoherentStepDistribution:
     def test_ground_state_produces_no_negative_work(self):
         # beta capped at 1e3: the excited population underflows to exactly 0
         cold = ThermalSpec.from_beta(math.inf)
-        dist = coherent_step_distribution(ProtocolSpec.coherent(3, cold))
+        dist = coherent_step_distribution(ProtocolSpec(COHERENT, 3, cold))
         assert dist.probs[0] == 0.0
 
     def test_quasi_static_limit(self):
-        dist = coherent_step_distribution(ProtocolSpec.coherent(10**6, EXPERIMENT))
+        dist = coherent_step_distribution(ProtocolSpec(COHERENT, 10**6, EXPERIMENT))
         assert dist.probs[0] + dist.probs[2] <= math.sin(math.pi / 4e6) ** 2 < 1e-12
 
     def test_matches_density_matrix_oracle(self):
@@ -122,7 +118,7 @@ class TestCoherentStepDistribution:
         for n in range(1, 33):
             for beta in betas:
                 thermal = ThermalSpec.from_beta(float(beta))
-                spec = ProtocolSpec.coherent(n, thermal)
+                spec = ProtocolSpec(COHERENT, n, thermal)
                 closed = coherent_step_distribution(spec)
                 works, probs = tpm_step_distribution(thermal, spec.step_angle)
                 np.testing.assert_array_equal(closed.works, works)
@@ -139,19 +135,19 @@ class TestIncoherentStepDistribution:
     """The per-quench work law, read off the rows of ``step_table``."""
 
     def test_no_drive_is_deterministic_zero(self):
-        spec = ProtocolSpec.incoherent(5, EXPERIMENT, 1.0, 1.0)
+        spec = ProtocolSpec(INCOHERENT, 5, EXPERIMENT, 1.0, 1.0)
         dist = incoherent_step(spec, 2)
         np.testing.assert_array_equal(dist.works, [0.0, 0.0])
         assert list(work_law(dist.works, dist.probs)) == [0.0]
         np.testing.assert_allclose(dist.probs.sum(), 1.0, atol=1e-15)
 
     def test_infinite_temperature_is_symmetric(self):
-        spec = ProtocolSpec.incoherent(4, ThermalSpec.from_beta(0.0), 1.0, 2.0)
+        spec = ProtocolSpec(INCOHERENT, 4, ThermalSpec.from_beta(0.0), 1.0, 2.0)
         dist = incoherent_step(spec, 1)
         np.testing.assert_allclose(dist.probs, [0.5, 0.5], atol=1e-15)
 
     def test_first_step_example(self):
-        spec = ProtocolSpec.incoherent(10, EXPERIMENT, 1.0, 2.0)
+        spec = ProtocolSpec(INCOHERENT, 10, EXPERIMENT, 1.0, 2.0)
         dist = incoherent_step(spec, 0)
         np.testing.assert_array_equal(dist.works, [-0.05, 0.05])
         np.testing.assert_allclose(dist.probs[1], 0.0319, atol=5e-5)
@@ -165,7 +161,7 @@ class TestIncoherentStepDistribution:
             omega_end = float(rng.uniform(0.2, 3.0))
             n = int(rng.integers(1, 12))
             j = int(rng.integers(0, n))
-            spec = ProtocolSpec.incoherent(n, ThermalSpec.from_beta(beta), omega_start, omega_end)
+            spec = ProtocolSpec(INCOHERENT, n, ThermalSpec.from_beta(beta), omega_start, omega_end)
 
             # occupation at the step gap via the Gibbs density matrix itself
             delta = (omega_end - omega_start) / n
@@ -190,7 +186,7 @@ class TestIncoherentStepDistribution:
 
 class TestApplySpam:
     def test_zero_rates_identity(self):
-        dist = coherent_step_distribution(ProtocolSpec.coherent(2, EXPERIMENT))
+        dist = coherent_step_distribution(ProtocolSpec(COHERENT, 2, EXPERIMENT))
         out = apply_spam(dist, SpamModel(0.0, 0.0))
         np.testing.assert_array_equal(out.probs, dist.probs)
 
@@ -202,15 +198,15 @@ class TestApplySpam:
         np.testing.assert_allclose(out.probs, [0.004, 0.992, 0.004], rtol=1e-14)
 
     def test_two_step_worked_example(self):
-        thermal = ThermalSpec.from_population(0.032)
-        dist = coherent_step_distribution(ProtocolSpec.coherent(2, thermal))
+        thermal = ThermalSpec.from_beta(population_to_beta(0.032))
+        dist = coherent_step_distribution(ProtocolSpec(COHERENT, 2, thermal))
         out = apply_spam(dist, SpamModel(0.004, 0.004))
         expected_plus = 0.996 * dist.probs[2] + 0.004 * dist.probs[1]
         np.testing.assert_allclose(out.probs[2], expected_plus, rtol=1e-14)
         np.testing.assert_allclose(out.probs[2], 0.144612, atol=1e-5)
 
     def test_rejects_non_coherent_support(self):
-        incoherent = incoherent_step(ProtocolSpec.incoherent(4, EXPERIMENT, 1.0, 2.0), 0)
+        incoherent = incoherent_step(ProtocolSpec(INCOHERENT, 4, EXPERIMENT, 1.0, 2.0), 0)
         with pytest.raises(ValueError):
             apply_spam(incoherent, SpamModel(0.004, 0.004))
 
@@ -220,7 +216,7 @@ class TestApplySpam:
             n = int(rng.integers(1, 40))
             beta = float(rng.uniform(0.0, 6.0))
             spam = SpamModel(float(rng.uniform(0.0, 0.4)), float(rng.uniform(0.0, 0.4)))
-            dist = coherent_step_distribution(ProtocolSpec.coherent(n, ThermalSpec.from_beta(beta)))
+            dist = coherent_step_distribution(ProtocolSpec(COHERENT, n, ThermalSpec.from_beta(beta)))
             out = apply_spam(dist, spam)
             assert abs(out.probs.sum() - 1.0) < 1e-12
             nonzero_before = dist.probs[0] + dist.probs[2]
@@ -236,7 +232,7 @@ class TestApplySpam:
 
 class TestSampleWork:
     def test_determinism(self):
-        spec = ProtocolSpec.coherent(3, EXPERIMENT)
+        spec = ProtocolSpec(COHERENT, 3, EXPERIMENT)
         a = sample_work(spec, None, runs=500, seed=42)
         b = sample_work(spec, None, runs=500, seed=42)
         np.testing.assert_array_equal(a.totals, b.totals)
@@ -245,14 +241,14 @@ class TestSampleWork:
 
     @pytest.mark.parametrize("workers", [2, 3, 5, 8])
     def test_worker_partition_invariance(self, workers):
-        spec = ProtocolSpec.coherent(4, EXPERIMENT)
+        spec = ProtocolSpec(COHERENT, 4, EXPERIMENT)
         serial = sample_work(spec, None, runs=1000, seed=9)
         parallel = sample_work(spec, None, runs=1000, seed=9, workers=workers)
         np.testing.assert_array_equal(serial.totals, parallel.totals)
         np.testing.assert_array_equal(serial.flip_counts, parallel.flip_counts)
 
     def test_worker_invariance_incoherent(self):
-        spec = ProtocolSpec.incoherent(5, EXPERIMENT, 1.0, 2.0)
+        spec = ProtocolSpec(INCOHERENT, 5, EXPERIMENT, 1.0, 2.0)
         serial = sample_work(spec, None, runs=700, seed=12)
         parallel = sample_work(spec, None, runs=700, seed=12, workers=4)
         np.testing.assert_array_equal(serial.totals, parallel.totals)
@@ -279,7 +275,7 @@ class TestSampleWork:
 
         monkeypatch.setattr("qfdr.protocol.ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        spec = ProtocolSpec.coherent(4, EXPERIMENT)
+        spec = ProtocolSpec(COHERENT, 4, EXPERIMENT)
         serial = sample_work(spec, None, runs=1000, seed=9)
         capped = sample_work(spec, None, runs=1000, seed=9, workers=16)
         assert pool_sizes == [1, 2]
@@ -299,10 +295,10 @@ class TestSampleWork:
         """Up to 8 chunks on up to 8 threads, the core count raised to 8 so
         the partition follows ``workers`` on any machine."""
         if kind == "incoherent":
-            spec, spam = ProtocolSpec.incoherent(n_steps, EXPERIMENT, 1.0, 2.0), None
+            spec, spam = ProtocolSpec(INCOHERENT, n_steps, EXPERIMENT, 1.0, 2.0), None
         else:
             spam = SpamModel(0.004, 0.01) if kind == "coherent+spam" else None
-            spec = ProtocolSpec.coherent(n_steps, EXPERIMENT)
+            spec = ProtocolSpec(COHERENT, n_steps, EXPERIMENT)
         serial = sample_work(spec, spam, runs, seed)
         with mock.patch("os.cpu_count", return_value=8):
             parallel = sample_work(spec, spam, runs, seed, workers=workers)
@@ -316,9 +312,9 @@ class TestSampleWork:
         """One worker draws 2 full blocks and 3 runs more; three workers draw
         chunks shorter than a block.  Both read the same stream."""
         if kind == "incoherent":
-            spec, spam = ProtocolSpec.incoherent(26, EXPERIMENT, 1.0, 19.39), None
+            spec, spam = ProtocolSpec(INCOHERENT, 26, EXPERIMENT, 1.0, 19.39), None
         else:
-            spec, spam = ProtocolSpec.coherent(10, EXPERIMENT), SpamModel(0.004, 0.01)
+            spec, spam = ProtocolSpec(COHERENT, 10, EXPERIMENT), SpamModel(0.004, 0.01)
         runs = 2 * _BLOCK_RUNS + 3
         with mock.patch("os.cpu_count", return_value=8):
             serial = sample_work(spec, spam, runs, seed=21, workers=1)
@@ -333,7 +329,7 @@ class TestSampleWork:
         (51 MB of doubles alone)."""
         tracemalloc.start()
         try:
-            sample_work(ProtocolSpec.coherent(64, EXPERIMENT), None, runs=100_000, seed=3)
+            sample_work(ProtocolSpec(COHERENT, 64, EXPERIMENT), None, runs=100_000, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -341,18 +337,18 @@ class TestSampleWork:
 
     def test_ground_state_work_is_non_negative(self):
         cold = ThermalSpec.from_beta(math.inf)
-        samples = sample_work(ProtocolSpec.coherent(2, cold), None, runs=4000, seed=77)
+        samples = sample_work(ProtocolSpec(COHERENT, 2, cold), None, runs=4000, seed=77)
         assert np.all(samples.totals >= 0.0)
 
     def test_mean_matches_analytic_value(self):
-        samples = sample_work(ProtocolSpec.coherent(2, EXPERIMENT), None, runs=8000, seed=123)
+        samples = sample_work(ProtocolSpec(COHERENT, 2, EXPERIMENT), None, runs=8000, seed=123)
         expected = 0.27421152651749037
         standard_error = math.sqrt(0.2552972381759263 / 8000)
         assert abs(samples.totals.mean() - expected) < 4 * standard_error
 
     def test_empirical_step_frequencies_converge(self):
         """With a million runs each outcome frequency sits within 5 binomial sigmas."""
-        spec = ProtocolSpec.coherent(3, EXPERIMENT)
+        spec = ProtocolSpec(COHERENT, 3, EXPERIMENT)
         dist = coherent_step_distribution(spec)
         runs = 1_000_000
         samples = sample_work(spec, None, runs=runs, seed=31)
@@ -369,14 +365,14 @@ class TestSampleWork:
         assert abs(observed_first - p_first) < 5 * sigma_first
 
     def test_incoherent_totals_take_expected_values(self):
-        spec = ProtocolSpec.incoherent(2, EXPERIMENT, 1.0, 2.0)
+        spec = ProtocolSpec(INCOHERENT, 2, EXPERIMENT, 1.0, 2.0)
         samples = sample_work(spec, None, runs=500, seed=4)
         # each step contributes +-delta/2 = +-0.25
         allowed = {-0.5, 0.0, 0.5}
         assert set(np.round(samples.totals, 12)) <= allowed
 
     def test_spam_shifts_step_frequencies(self):
-        spec = ProtocolSpec.coherent(2, EXPERIMENT)
+        spec = ProtocolSpec(COHERENT, 2, EXPERIMENT)
         spam = SpamModel(0.004, 0.004)
         samples = sample_work(spec, spam, runs=200_000, seed=55)
         perturbed = apply_spam(coherent_step_distribution(spec), spam)
@@ -386,12 +382,12 @@ class TestSampleWork:
         assert abs(observed - p_nonzero) < 5 * math.sqrt(p_nonzero * (1 - p_nonzero) / trials)
 
     def test_spam_with_incoherent_protocol_rejected(self):
-        spec = ProtocolSpec.incoherent(3, EXPERIMENT, 1.0, 2.0)
+        spec = ProtocolSpec(INCOHERENT, 3, EXPERIMENT, 1.0, 2.0)
         with pytest.raises(ValueError):
             sample_work(spec, SpamModel(0.004, 0.004), runs=10, seed=0)
 
     def test_record_fields(self):
-        spec = ProtocolSpec.coherent(6, EXPERIMENT)
+        spec = ProtocolSpec(COHERENT, 6, EXPERIMENT)
         spam = SpamModel(0.01, 0.02)
         samples = sample_work(spec, spam, runs=300, seed=8)
         assert isinstance(samples, WorkSampleSet)
@@ -402,7 +398,7 @@ class TestSampleWork:
         assert samples.seed == 8
 
     def test_totals_are_codes_into_levels(self):
-        samples = sample_work(ProtocolSpec.coherent(10, EXPERIMENT), None, runs=5000, seed=3)
+        samples = sample_work(ProtocolSpec(COHERENT, 10, EXPERIMENT), None, runs=5000, seed=3)
         assert samples.codes.dtype == np.uint8 and samples.codes.shape == (5000,)
         assert np.all(np.diff(samples.levels) > 0) and samples.levels.size <= 21
         totals = np.array([0.5, -1.0, 0.5, 2.0, -1.0])
@@ -414,7 +410,7 @@ class TestSampleWork:
 
     def test_run_count_validated(self):
         with pytest.raises(ValueError):
-            sample_work(ProtocolSpec.coherent(2, EXPERIMENT), None, runs=0, seed=1)
+            sample_work(ProtocolSpec(COHERENT, 2, EXPERIMENT), None, runs=0, seed=1)
 
 
 class TestStreamGolden:
@@ -446,7 +442,7 @@ class TestStreamGolden:
 
 class TestSampleWorkTotals:
     def test_deterministic_and_supported(self):
-        spec = ProtocolSpec.coherent(4, ThermalSpec.from_beta(0.5))
+        spec = ProtocolSpec(COHERENT, 4, ThermalSpec.from_beta(0.5))
         spam = SpamModel(0.2, 0.3)
         a = sample_work(spec, spam, runs=300, seed=5).totals
         b = sample_work(spec, spam, runs=300, seed=5).totals
@@ -457,7 +453,7 @@ class TestSampleWorkTotals:
     def test_frequencies(self):
         # a single quench from gap 1 to 3 at beta = ln 3 does w = +1 with
         # the occupation 1/4 and w = -1 otherwise
-        spec = ProtocolSpec.incoherent(1, ThermalSpec.from_beta(math.log(3.0)), 1.0, 3.0)
+        spec = ProtocolSpec(INCOHERENT, 1, ThermalSpec.from_beta(math.log(3.0)), 1.0, 3.0)
         totals = sample_work(spec, None, runs=400_000, seed=17).totals
         p_hat = ((totals + 1.0) / 2.0).mean()
         assert abs(p_hat - 0.25) < 5 * math.sqrt(0.25 * 0.75 / 400_000)
@@ -501,7 +497,7 @@ class TestStepTable:
     @example(n=2, beta=3.413, spam=None)
     @example(n=7, beta=3.413, spam=SpamModel(0.004, 0.004))
     def test_coherent_table(self, n, beta, spam):
-        spec = ProtocolSpec.coherent(n, ThermalSpec.from_beta(beta))
+        spec = ProtocolSpec(COHERENT, n, ThermalSpec.from_beta(beta))
         table = step_table(spec, spam)
         assert table.probs.shape == (n, 3, 2)
         assert np.all(table.probs >= 0.0)
@@ -531,7 +527,7 @@ class TestStepTable:
     @example(n=26, beta=3.413, omega_start=1.0, omega_end=19.39)
     @example(n=6, beta=3.413, omega_start=1.0, omega_end=1.0)
     def test_incoherent_table(self, n, beta, omega_start, omega_end):
-        spec = ProtocolSpec.incoherent(n, ThermalSpec.from_beta(beta), omega_start, omega_end)
+        spec = ProtocolSpec(INCOHERENT, n, ThermalSpec.from_beta(beta), omega_start, omega_end)
         table = step_table(spec)
         assert table.probs.shape == (n, 2, 2)
         assert np.all(table.probs >= 0.0)
@@ -553,7 +549,7 @@ class TestStepTable:
     def test_first_readout_follows_the_work_sign(self):
         """Without readout error an upward flip starts in the ground state and
         a downward one in the excited state."""
-        row = step_table(ProtocolSpec.coherent(3, EXPERIMENT)).probs[0]
+        row = step_table(ProtocolSpec(COHERENT, 3, EXPERIMENT)).probs[0]
         assert row[0, 0] == 0.0 and row[2, 1] == 0.0
         assert row[0, 1] > 0.0 and row[2, 0] > 0.0
 
@@ -564,7 +560,7 @@ class TestStepTable:
             StepTable(np.array([-0.5, 0.5]), probs, flips=np.array([False, True]))
 
     def test_spam_with_incoherent_protocol_rejected(self):
-        spec = ProtocolSpec.incoherent(3, EXPERIMENT, 1.0, 2.0)
+        spec = ProtocolSpec(INCOHERENT, 3, EXPERIMENT, 1.0, 2.0)
         with pytest.raises(ValueError):
             step_table(spec, SpamModel(0.004, 0.004))
         assert step_table(spec, SpamModel(0.0, 0.0)).probs.shape == (3, 2, 2)

@@ -1,27 +1,24 @@
-"""Exact-algebra checks for the 2x2 qubit kernel."""
+"""Thermal-state checks and exact-algebra checks of the density-matrix oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qfdr.qubit import (
-    ATOL,
-    BETA_CAP,
+from qfdr.qubit import ATOL, BETA_CAP, ThermalSpec, population_to_beta, thermal_population
+
+from oracle import (
     IDENTITY,
     PAULI_Y,
     PAULI_Z,
     StateIntegrityError,
-    ThermalSpec,
     apply_unitary,
     basis_state,
     check_density_matrix,
     effective_hamiltonian,
     gibbs_state,
     measure_energy_basis,
-    population_to_beta,
     rotation,
-    thermal_population,
     tpm_step_distribution,
 )
 

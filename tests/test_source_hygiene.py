@@ -101,3 +101,67 @@ def test_every_defaulted_parameter_is_passed_somewhere():
 def test_all_entries_resolve():
     missing = [name for name in qfdr.__all__ if not hasattr(qfdr, name)]
     assert not missing and len(set(qfdr.__all__)) == len(qfdr.__all__)
+
+
+# Definitions that no command reaches but that code outside the package calls,
+# each with what needs it.
+ENTRY_POINTS = {
+    "apply_spam",          # perfbench/gates.py: the readout-error step table of the paper gate
+    "read_csv_table",      # perfbench/gates.py: re-reads the tables the commands wrote
+    "beta_error",          # perfbench/gates.py: the beta-refit term of the gate's sigma
+    "read_samples",        # perfbench/child.py: the reanalyse operation
+    "drift_scan",          # acceptance criterion 7
+    "coherent_asymptote",  # acceptance criterion 3
+}
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions():
+    """(label, name, nodes read once the name is reached) of every module-level
+    function and class and every method.  A class brings its bases,
+    decorators, class-level statements and dunder methods; its other methods
+    are reached by their own name."""
+    for module, tree in SOURCES.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{module}: {node.name}", node.name, [node]
+            elif isinstance(node, ast.ClassDef):
+                methods = [n for n in node.body if isinstance(n, ast.FunctionDef) and not _dunder(n.name)]
+                own = [n for n in node.body if n not in methods]
+                yield f"{module}: {node.name}", node.name, own + node.bases + node.decorator_list
+                for method in methods:
+                    yield f"{module}: {node.name}.{method.name}", method.name, [method]
+
+
+DEFINITIONS = list(_definitions())
+
+
+def _reach(roots):
+    """Every name read, transitively, from ``roots`` through the definitions
+    of that name.  Matching is by name alone, so the walk may keep dead code
+    whose name a live one shares, but never misses live code."""
+    reached, frontier = set(), set(roots)
+    while frontier:
+        name = frontier.pop()
+        reached.add(name)
+        for _, defined, nodes in DEFINITIONS:
+            if defined == name:
+                frontier |= set().union(*map(loaded_names, nodes)) - reached
+    return reached
+
+
+def test_every_definition_is_reached_from_a_command():
+    module_level = [node for tree in SOURCES.values() for node in tree.body
+                    if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    roots = {"main"}.union(*map(loaded_names, module_level))
+    from_commands = _reach(roots)
+    defined = {name for _, name, _ in DEFINITIONS}
+    assert ENTRY_POINTS <= defined, f"entry points defined nowhere: {sorted(ENTRY_POINTS - defined)}"
+    assert not ENTRY_POINTS & from_commands, \
+        f"entry points a command reaches anyway: {sorted(ENTRY_POINTS & from_commands)}"
+    reached = _reach(roots | ENTRY_POINTS)
+    unreached = [label for label, name, _ in DEFINITIONS if name not in reached]
+    assert not unreached, f"defined but reached by no command or entry point: {unreached}"

@@ -90,7 +90,7 @@ class TestBootstrapQ:
 
     def test_mean_is_unbiased(self):
         report = bootstrap_q(EXPERIMENT, 2, 8000, resamples=200, seed=17)
-        analytic = quantum_correction(ProtocolSpec.coherent(2, EXPERIMENT)).q_value
+        analytic = quantum_correction(ProtocolSpec(COHERENT, 2, EXPERIMENT)).q_value
         tolerance = 3.0 * report.sigma_q / math.sqrt(report.resamples)
         assert abs(report.q_values.mean() - analytic) < tolerance
 
@@ -132,7 +132,7 @@ class TestBootstrapQ:
 
 class TestEstimateFromSamples:
     def test_coherent_estimate_matches_analytic(self):
-        spec = ProtocolSpec.coherent(2, EXPERIMENT)
+        spec = ProtocolSpec(COHERENT, 2, EXPERIMENT)
         samples = sample_work(spec, None, runs=100_000, seed=303)
         estimate = estimate_from_samples(samples)
         report = bootstrap_q(EXPERIMENT, 2, 100_000, resamples=100, seed=303)
@@ -147,7 +147,7 @@ class TestEstimateFromSamples:
             n = int(rng.integers(2, 12))
             beta = float(rng.uniform(0.5, 5.0))
             thermal = ThermalSpec.from_beta(beta)
-            spec = ProtocolSpec.coherent(n, thermal)
+            spec = ProtocolSpec(COHERENT, n, thermal)
             seed = int(rng.integers(0, 2**32))
             samples = sample_work(spec, None, runs=100_000, seed=seed)
             estimate = estimate_from_samples(samples)
@@ -167,7 +167,7 @@ class TestEstimateFromSamples:
     def test_incoherent_estimate(self):
         from qfdr.analytics import incoherent_correction
 
-        spec = ProtocolSpec.incoherent(5, EXPERIMENT, 1.0, 2.0)
+        spec = ProtocolSpec(INCOHERENT, 5, EXPERIMENT, 1.0, 2.0)
         samples = sample_work(spec, None, runs=200_000, seed=71)
         estimate = estimate_from_samples(samples)
         analytic = incoherent_correction(spec)
