@@ -187,7 +187,7 @@ def run_certify(config: RunConfig) -> int:
 
     rows = []
     for ref in load_reference_points():
-        if abs(ref.v_inv - ref.n_steps * math.sqrt(2.0)) > 0.05:
+        if abs(ref.v_inv - ref.n_steps / COHERENT_NORM_DH) > 0.05:
             print(
                 f"note: abscissa {ref.v_inv} is not an integer multiple of sqrt(2); "
                 f"using n_steps={ref.n_steps}"

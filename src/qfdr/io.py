@@ -3,9 +3,9 @@
 All floats are written with 17 significant digits and '.' decimals so that
 re-running a command with the same configuration and seed yields
 byte-identical files, and re-parsing plus re-emitting any table is the
-identity.  Sample files are written per distinct work level (a run total
-takes one of a few), not per row, and their data rows are parsed by numpy's
-C reader (``np.loadtxt``).
+identity.  Sample files format each distinct work level once (a run total
+takes one of a few), write their rows in blocks of runs, and have their data
+rows parsed by numpy's C reader (``np.loadtxt``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocol import ProtocolSpec, SpamModel, WorkSampleSet
+from .protocol import _BLOCK_RUNS, ProtocolSpec, SpamModel, WorkSampleSet
 from .qubit import ThermalSpec
 
 
@@ -23,7 +23,7 @@ def format_value(value) -> str:
     # floats first: they fill most cells, and no float is a bool or an int
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -36,17 +36,8 @@ def render_csv(fieldnames: list[str], rows: list[dict]) -> str:
 
 
 def render_json(rows: list[dict]) -> str:
-    prepared = []
-    for row in rows:
-        record = {}
-        for key, value in row.items():
-            if isinstance(value, (np.integer,)):
-                value = int(value)
-            elif isinstance(value, (np.floating,)):
-                value = float(value)
-            record[key] = value
-        prepared.append(record)
-    return json.dumps(prepared, indent=2) + "\n"
+    # numpy scalars that json cannot take become the Python value they hold
+    return json.dumps(rows, indent=2, default=np.generic.item) + "\n"
 
 
 def write_table(path: Path, fieldnames: list[str], rows: list[dict], fmt: str = "csv") -> None:
@@ -73,7 +64,8 @@ SAMPLES_FIELDS = ["run_index", "total_work"]
 
 
 def write_samples(path: Path, samples: WorkSampleSet) -> None:
-    """One total per row, preceded by a comment header carrying the setup."""
+    """One total per row, preceded by a comment header carrying the setup.
+    Rows are written ``_BLOCK_RUNS`` at a time, never the whole text at once."""
     spec = samples.spec
     header = {
         "kind": spec.kind,
@@ -89,10 +81,13 @@ def write_samples(path: Path, samples: WorkSampleSet) -> None:
     if samples.spam is not None:
         header["spam_bright"] = samples.spam.p_bright_given_0
         header["spam_dark"] = samples.spam.p_dark_given_1
-    lines = [f"# {key}={format_value(value)}" for key, value in header.items()]
     level_text = [format_value(level) for level in samples.levels.tolist()]
-    rows = [f"{i},{level_text[code]}" for i, code in enumerate(samples.codes.tolist())]
-    Path(path).write_text("\n".join([*lines, ",".join(SAMPLES_FIELDS), *rows]) + "\n")
+    with open(path, "w") as handle:
+        handle.writelines(f"# {key}={format_value(value)}\n" for key, value in header.items())
+        handle.write(",".join(SAMPLES_FIELDS) + "\n")
+        for start in range(0, samples.runs, _BLOCK_RUNS):
+            block = samples.codes[start : start + _BLOCK_RUNS].tolist()
+            handle.write("".join([f"{i},{level_text[code]}\n" for i, code in enumerate(block, start)]))
 
 
 def read_samples(path: Path) -> WorkSampleSet:

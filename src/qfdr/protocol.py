@@ -281,14 +281,16 @@ def run_distribution(table: StepTable) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 @dataclass(frozen=True)
 class WorkSampleSet:
-    """Monte Carlo work totals plus the aggregates needed to refit p and p_f.
+    """Monte Carlo work totals plus per-step readout counts.
 
     Run r's total is ``levels[codes[r]]``, ``levels`` being the few distinct
     totals in ascending order and ``codes`` the narrowest unsigned integers.
     ``first_excited_counts[j]`` counts excited first readouts at step j over
     all runs; ``flip_counts[j]`` counts nonzero-work outcomes at step j for
-    coherent protocols and positive-work outcomes for incoherent ones.
-    Identical (spec, spam, seed, runs) reproduce identical totals bit for bit.
+    coherent protocols and positive-work outcomes for incoherent ones.  The
+    coherent estimate refits p from the first-readout counts; the flip counts
+    are only recorded, in the samples-file header.  Identical (spec, spam,
+    seed, runs) reproduce identical totals bit for bit.
     """
 
     levels: np.ndarray

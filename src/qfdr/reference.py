@@ -17,6 +17,8 @@ import csv
 from dataclasses import dataclass
 from importlib import resources
 
+from .protocol import COHERENT_NORM_DH
+
 EXPERIMENT_BETA = 3.413
 EXPERIMENT_RUNS = 8000
 EXPERIMENT_READOUT_ERROR = 0.004
@@ -33,12 +35,12 @@ class ReferencePoint:
 
     @property
     def n_steps(self) -> int:
-        """Step count implied by v^-1 = N sqrt(2) on the coherent axis.
+        """Step count implied by v^-1 = N / |dH| on the coherent axis.
 
         The fifth abscissa (8.845) is not an exact multiple of sqrt(2); it
         rounds to N = 6, which is what every computation here uses.
         """
-        return round(self.v_inv / 2.0**0.5)
+        return round(self.v_inv * COHERENT_NORM_DH)
 
 
 def load_reference_points() -> list[ReferencePoint]:

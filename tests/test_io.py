@@ -3,6 +3,7 @@
 import json
 import string
 import tempfile
+import tracemalloc
 from itertools import zip_longest
 from pathlib import Path
 
@@ -99,12 +100,14 @@ class TestTables:
         assert render_json(json.loads(text)) == text
 
     def test_bools_and_numpy_scalars(self):
-        rows = [{"pass": True, "n": np.int64(3), "x": np.float64(0.1), "y": np.float32(0.5)},
-                {"pass": False, "n": 7, "x": 1e-300, "y": "nan"}]
-        assert render_csv(["pass", "n", "x", "y"], rows) == (
-            "pass,n,x,y\ntrue,3,0.10000000000000001,0.5\nfalse,7,1e-300,nan\n"
+        rows = [{"pass": True, "n": np.int64(3), "x": np.float64(0.1), "y": np.float32(0.5),
+                 "flag": np.bool_(False)},
+                {"pass": False, "n": 7, "x": 1e-300, "y": "nan", "flag": np.bool_(True)}]
+        assert render_csv(["pass", "n", "x", "y", "flag"], rows) == (
+            "pass,n,x,y,flag\ntrue,3,0.10000000000000001,0.5,false\nfalse,7,1e-300,nan,true\n"
         )
-        assert json.loads(render_json(rows))[0] == {"pass": True, "n": 3, "x": 0.1, "y": 0.5}
+        assert json.loads(render_json(rows))[0] == {"pass": True, "n": 3, "x": 0.1, "y": 0.5,
+                                                    "flag": False}
 
 
 class TestSamplesFile:
@@ -133,6 +136,19 @@ class TestSamplesFile:
         np.testing.assert_array_equal(read.flip_counts, samples.flip_counts)
         assert read.first_excited_counts.dtype == read.flip_counts.dtype == np.int64
         assert (read.seed, read.spec, read.spam) == (seed, spec, spam)
+
+    def test_writer_memory_is_bounded(self, tmp_path):
+        """The traced peak of writing 100k rows stays far below their text
+        held as one string per row (8 MB)."""
+        spec = ProtocolSpec(COHERENT, 10, ThermalSpec.from_beta(3.413))
+        samples = sample_work(spec, None, runs=100_000, seed=0)
+        tracemalloc.start()
+        try:
+            write_samples(tmp_path / "samples.csv", samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def _crlf(header, columns, rows):
