@@ -86,8 +86,8 @@ def write_samples(path: Path, samples: WorkSampleSet) -> None:
         handle.writelines(f"# {key}={format_value(value)}\n" for key, value in header.items())
         handle.write(",".join(SAMPLES_FIELDS) + "\n")
         for start in range(0, samples.runs, _BLOCK_RUNS):
-            block = samples.codes[start : start + _BLOCK_RUNS].tolist()
-            handle.write("".join([f"{i},{level_text[code]}\n" for i, code in enumerate(block, start)]))
+            codes = samples.codes[start : start + _BLOCK_RUNS].tolist()
+            handle.write("".join([f"{i},{level_text[c]}\n" for i, c in enumerate(codes, start)]))
 
 
 def read_samples(path: Path) -> WorkSampleSet:

@@ -216,7 +216,8 @@ class TestApplySpam:
             n = int(rng.integers(1, 40))
             beta = float(rng.uniform(0.0, 6.0))
             spam = SpamModel(float(rng.uniform(0.0, 0.4)), float(rng.uniform(0.0, 0.4)))
-            dist = coherent_step_distribution(ProtocolSpec(COHERENT, n, ThermalSpec.from_beta(beta)))
+            spec = ProtocolSpec(COHERENT, n, ThermalSpec.from_beta(beta))
+            dist = coherent_step_distribution(spec)
             out = apply_spam(dist, spam)
             assert abs(out.probs.sum() - 1.0) < 1e-12
             nonzero_before = dist.probs[0] + dist.probs[2]

@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked with the standard-library ``ast``:
 no unused import, no unreferenced module-level name, no defaulted parameter
-that no call passes, and an ``__all__`` whose every entry resolves.  Public
-names and parameters count as used when the package, its tests or the
+that no call passes, an ``__all__`` whose every entry resolves, and no
+definition that neither a command nor a listed outside entry point reaches.
+Public names and parameters count as used when the package, its tests or the
 benchmark harness read or pass them."""
 
 import ast
@@ -129,7 +130,8 @@ def _definitions():
             if isinstance(node, ast.FunctionDef):
                 yield f"{module}: {node.name}", node.name, [node]
             elif isinstance(node, ast.ClassDef):
-                methods = [n for n in node.body if isinstance(n, ast.FunctionDef) and not _dunder(n.name)]
+                methods = [n for n in node.body
+                           if isinstance(n, ast.FunctionDef) and not _dunder(n.name)]
                 own = [n for n in node.body if n not in methods]
                 yield f"{module}: {node.name}", node.name, own + node.bases + node.decorator_list
                 for method in methods:
@@ -159,7 +161,8 @@ def test_every_definition_is_reached_from_a_command():
     roots = {"main"}.union(*map(loaded_names, module_level))
     from_commands = _reach(roots)
     defined = {name for _, name, _ in DEFINITIONS}
-    assert ENTRY_POINTS <= defined, f"entry points defined nowhere: {sorted(ENTRY_POINTS - defined)}"
+    assert ENTRY_POINTS <= defined, \
+        f"entry points defined nowhere: {sorted(ENTRY_POINTS - defined)}"
     assert not ENTRY_POINTS & from_commands, \
         f"entry points a command reaches anyway: {sorted(ENTRY_POINTS & from_commands)}"
     reached = _reach(roots | ENTRY_POINTS)
