@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 configuration/parse error, 3 certification failure,
 4 I/O failure.  Output files are byte-identical for identical configuration
 and seed, independent of the worker count.  The analysis modules return
 plain numbers and arrays; this module alone labels them and builds the
-table rows, and a command's default output file is named after it.
+table rows, whose keys, in order, are the table's columns.  A command's
+default output file is named after it.
 """
 
 from __future__ import annotations
@@ -33,32 +34,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CERTIFICATION = 3
 EXIT_IO = 4
-
-SWEEP_FIELDS = ["provenance", "v_inv", "nq_rescaled"]
-CERTIFY_FIELDS = [
-    "v_inv",
-    "nq_exp",
-    "sigma_delta",
-    "ref_inc",
-    "delta_inc_sigma",
-    "ref_spam",
-    "delta_spam_sigma",
-    "pass",
-]
-ANALYTIC_FIELDS = [
-    "kind",
-    "n_steps",
-    "beta",
-    "omega_start",
-    "omega_end",
-    "mean_work",
-    "var_work",
-    "delta_f",
-    "q_value",
-    "nq_rescaled",
-]
-PROFILE_FIELDS = ["n_steps", "beta", "q_value", "nq_rescaled"]
-CALIBRATE_FIELDS = ["target_theta", "shots", "seed", "true_duration", "fitted_duration", "error"]
 
 SWEEP_CURVE_N = np.arange(1, 101)
 
@@ -99,9 +74,9 @@ def _output_path(config: RunConfig) -> Path:
     return base / f"{config.command}.{config.format}"
 
 
-def _write_rows(config: RunConfig, fieldnames: list[str], rows: list[dict]) -> None:
+def _write_rows(config: RunConfig, rows: list[dict]) -> None:
     path = _output_path(config)
-    write_table(path, fieldnames, rows, config.format)
+    write_table(path, list(rows[0]), rows, config.format)
     print(f"wrote {path} ({len(rows)} rows)")
 
 
@@ -128,7 +103,7 @@ def run_analytic(config: RunConfig) -> int:
                      "mean_work": estimate.mean_work, "var_work": estimate.var_work,
                      "delta_f": estimate.delta_f, "q_value": estimate.q_value,
                      "nq_rescaled": estimate.rescaled})
-    _write_rows(config, ANALYTIC_FIELDS, rows)
+    _write_rows(config, rows)
     return EXIT_OK
 
 
@@ -170,7 +145,7 @@ def run_sweep(config: RunConfig) -> int:
             for v_inv, value in zip(abscissae.tolist(), values.tolist())]
     if sweep.skipped:
         print(f"sweep: skipped {sweep.skipped} degenerate grid points with no Hamiltonian change")
-    _write_rows(config, SWEEP_FIELDS, rows)
+    _write_rows(config, rows)
     return EXIT_OK
 
 
@@ -201,7 +176,7 @@ def run_certify(config: RunConfig) -> int:
         rows.append({"v_inv": ref.v_inv, "nq_exp": ref.nq_rescaled, "sigma_delta": ref.sigma_delta,
                      "ref_inc": ref_inc, "delta_inc_sigma": delta_inc, "ref_spam": ref_spam,
                      "delta_spam_sigma": delta_spam, "pass": passed})
-    _write_rows(config, CERTIFY_FIELDS, rows)
+    _write_rows(config, rows)
     for row in rows:
         print(
             f"  v_inv={row['v_inv']}: delta_inc={row['delta_inc_sigma']:.2f} "
@@ -221,7 +196,7 @@ def run_temperature_profile(config: RunConfig) -> int:
         for estimate in analytics.temperature_profile(n, config.betas):
             rows.append({"n_steps": n, "beta": estimate.beta, "q_value": estimate.q_value,
                          "nq_rescaled": estimate.rescaled})
-    _write_rows(config, PROFILE_FIELDS, rows)
+    _write_rows(config, rows)
     return EXIT_OK
 
 
@@ -254,7 +229,7 @@ def run_calibrate(config: RunConfig) -> int:
         }
     ]
     path = _output_path(config)
-    write_table(path, CALIBRATE_FIELDS, rows, config.format)
+    write_table(path, list(rows[0]), rows, config.format)
     print(f"wrote {path}: fitted_duration={fitted:.6f} (true {true_duration:.6f})")
     return EXIT_OK
 

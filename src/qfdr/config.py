@@ -64,7 +64,8 @@ class RunConfig:
                             default=EXPERIMENT_READOUT_ERROR)
     threshold: float = _key("must be > 0", lambda v: v > 0.0, default=10.0)
     include_experiment: bool = True
-    betas: list[float] = _key("must be >= 0", lambda v: all(b >= 0.0 for b in v),
+    betas: list[float] = _key("must be a non-empty list of values >= 0",
+                              lambda v: v and min(v) >= 0.0,
                               "comma list of inverse temperatures",
                               default_factory=lambda: list(DEFAULT_BETAS))
     target_theta: float = math.pi / 2.0

@@ -51,8 +51,8 @@ def write_table(path: Path, fieldnames: list[str], rows: list[dict], fmt: str = 
 
 
 def read_csv_table(path: Path) -> tuple[list[str], list[dict]]:
-    """Parse an emitted CSV back into (fieldnames, rows of strings), skipping
-    blank and '#' comment lines."""
+    """Parse an emitted CSV, or the bundled reference points, into
+    (fieldnames, rows of strings), skipping blank and '#' comment lines."""
     body = [line for line in Path(path).read_text().splitlines()
             if line and not line.startswith("#")]
     fieldnames = body[0].split(",")

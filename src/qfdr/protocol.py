@@ -18,10 +18,10 @@ Thermal resets make the steps statistically independent, so a trajectory
 total is just a sum of independent draws from the per-step tables.  One
 joint (work, first readout) table per step, ``step_table``, serves both
 ``sample_work`` and the exact per-run law the bootstrap resamples.  Sampling
-uses a counter-based Philox stream partitioned per run, which makes results
-bit-for-bit identical no matter how the runs are split across workers; each
-worker draws its runs in blocks of ``_BLOCK_RUNS``, which caps the sampler's
-memory and does not change the stream.
+uses a counter-based Philox stream partitioned per run and draws the runs in
+fixed blocks of ``_BLOCK_RUNS``, which the worker threads share; results are
+bit-for-bit identical for any worker count, and the block size caps the
+sampler's memory.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ PROB_ATOL = 1e-12
 # consumes one word, so per-run draw budgets must be a multiple of 4.
 _PHILOX_BLOCK = 4
 
-# Runs drawn per block of ``sample_work``'s sampler: it holds a few arrays of
-# _BLOCK_RUNS x N cells at a time, not of runs x N.
+# Runs drawn per block of ``sample_work``'s sampler: each block holds a few
+# arrays of _BLOCK_RUNS x N cells, not of runs x N.
 _BLOCK_RUNS = 4096
 
 
@@ -316,32 +316,24 @@ class WorkSampleSet:
         return int(self.codes.size)
 
 
-def _sample_chunk(
-    table: StepTable, seed: int, start_run: int, n_runs: int
+def _sample_block(
+    table: StepTable, seed: int, start: int, n_runs: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # one double per step, padded to the Philox block size so per-run
-    # counter offsets stay aligned; for the same reason successive blocks of
-    # runs read the stream exactly as one draw for the whole chunk would
+    # counter offsets stay aligned: runs start .. start + n_runs read the
+    # stream exactly as one draw for all the runs would
     n = table.probs.shape[0]
     budget = -(-n // _PHILOX_BLOCK) * _PHILOX_BLOCK
     bit_generator = Philox(key=seed)
-    bit_generator.advance(start_run * (budget // _PHILOX_BLOCK))
-    rng = Generator(bit_generator)
-    cdf = table.probs.reshape(n, -1).cumsum(axis=1)[:, :-1].T
-    totals = np.empty(n_runs)
-    first_counts = np.zeros(n, dtype=np.int64)
-    flip_counts = np.zeros(n, dtype=np.int64)
-    for start in range(0, n_runs, _BLOCK_RUNS):
-        u = rng.random((min(_BLOCK_RUNS, n_runs - start), budget))[:, :n]
-        # cell index 2 l + k of each step by inverse-CDF lookup in its row
-        cell = np.zeros(u.shape, dtype=np.int8)
-        for bound in cdf:
-            cell += u >= bound
-        level, first = np.divmod(cell, 2)
-        totals[start : start + len(u)] = table.works[level].sum(axis=1)
-        first_counts += first.sum(axis=0, dtype=np.int64)
-        flip_counts += table.flips[level].sum(axis=0, dtype=np.int64)
-    return totals, first_counts, flip_counts
+    bit_generator.advance(start * (budget // _PHILOX_BLOCK))
+    u = Generator(bit_generator).random((n_runs, budget))[:, :n]
+    # cell index 2 l + k of each step by inverse-CDF lookup in its row
+    cell = np.zeros(u.shape, dtype=np.int8)
+    for bound in table.probs.reshape(n, -1).cumsum(axis=1)[:, :-1].T:
+        cell += u >= bound
+    level, first = np.divmod(cell, 2)
+    return (table.works[level].sum(axis=1), first.sum(axis=0, dtype=np.int64),
+            table.flips[level].sum(axis=0, dtype=np.int64))
 
 
 def sample_work(
@@ -355,21 +347,20 @@ def sample_work(
 
     Each step draws its (work, first readout) cell from ``step_table`` with
     one uniform (SPAM-perturbed when ``spam`` is given).  Each run owns a
-    fixed slice of a counter-based random stream, so any partition of the
-    runs across ``workers`` yields the same totals as a single-worker
-    execution.  The runs are split into at most ``os.cpu_count()`` chunks,
-    one per thread, and each chunk is drawn in blocks of ``_BLOCK_RUNS`` runs.
+    fixed slice of a counter-based random stream, and the runs are drawn in
+    fixed blocks of ``_BLOCK_RUNS``, so the totals do not depend on
+    ``workers``: it only sets how many threads (at most ``os.cpu_count()``)
+    take the blocks, each the next free one.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     table = step_table(spec, spam)
-
-    bounds = np.linspace(0, runs, min(workers, runs, os.cpu_count() or 1) + 1).astype(int)
-    chunks = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        results = list(pool.map(lambda chunk: _sample_chunk(table, seed, *chunk), chunks))
+    starts = range(0, runs, _BLOCK_RUNS)
+    with ThreadPoolExecutor(max_workers=min(workers, len(starts), os.cpu_count() or 1)) as pool:
+        results = list(pool.map(
+            lambda start: _sample_block(table, seed, start, min(_BLOCK_RUNS, runs - start)), starts))
     totals, first_counts, flip_counts = zip(*results)
     return WorkSampleSet.from_totals(
         np.concatenate(totals),

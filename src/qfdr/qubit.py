@@ -11,10 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Tolerance for algebraic identities on 2x2 matrices; double precision is
-# ample at this size.
-ATOL = 1e-12
-
 # Inverse temperatures above this cap are treated as the zero-temperature
 # limit.  Keeps arithmetic total instead of special-casing beta = inf.
 BETA_CAP = 1e3
@@ -47,31 +43,24 @@ def population_to_beta(population: float) -> float:
 
 @dataclass(frozen=True)
 class ThermalSpec:
-    """Inverse temperature and the equivalent excited-state population.
+    """A Gibbs state, stored as its inverse temperature alone.
 
-    The two fields are redundant by construction (1 - 2p = tanh(beta/2));
-    build from :meth:`from_beta` so they stay consistent.
+    The excited-state population is derived from beta on each read
+    (1 - 2p = tanh(beta/2)); build from :meth:`from_beta` to cap beta = inf.
     """
 
     beta: float
-    population: float
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.beta) or self.beta < 0.0:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if not 0.0 <= self.population <= 0.5:
-            raise ValueError(f"population must lie in [0, 1/2], got {self.population}")
-        if abs((1.0 - 2.0 * self.population) - math.tanh(self.beta / 2.0)) > ATOL:
-            raise ValueError(
-                "inconsistent thermal parameters: 1 - 2p must equal tanh(beta/2)"
-            )
 
     @classmethod
     def from_beta(cls, beta: float) -> "ThermalSpec":
         """Build from an inverse temperature, capping beta = inf at ``BETA_CAP``."""
-        if math.isnan(beta):
-            raise ValueError("beta must not be NaN")
-        if beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {beta}")
-        beta = min(beta, BETA_CAP)
-        return cls(beta=beta, population=thermal_population(beta))
+        return cls(min(beta, BETA_CAP))
+
+    @property
+    def population(self) -> float:
+        """Excited-state occupation, ``thermal_population(beta)``."""
+        return thermal_population(self.beta)

@@ -2,9 +2,10 @@
 
 The packaged CSV holds the measured rescaled corrections of the trapped-ion
 coherent protocol at six inverse speeds, together with their statistical
-errors and the originally reported sigma distances.  The values are
-transcribed measurement results: they are fixed inputs to the certification
-pipeline, never regenerated.
+errors and the originally reported sigma distances.  It is read by
+``io.read_csv_table``, like any emitted table, and its columns are the
+``ReferencePoint`` fields.  The values are transcribed measurement results:
+they are fixed inputs to the certification pipeline, never regenerated.
 
 The experiment ran at inverse temperature beta = 3.413 (excited-state
 population 0.032) with 8000 repetitions per point and readout error rates of
@@ -13,10 +14,10 @@ about 0.4 percent; those numbers are exposed here as defaults.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
+from .io import read_csv_table
 from .protocol import COHERENT_NORM_DH
 
 EXPERIMENT_BETA = 3.413
@@ -44,18 +45,5 @@ class ReferencePoint:
 
 
 def load_reference_points() -> list[ReferencePoint]:
-    text = (resources.files("qfdr") / "data" / "experimental_points.csv").read_text()
-    rows = [line for line in text.splitlines() if line and not line.startswith("#")]
-    points = []
-    for record in csv.DictReader(rows):
-        points.append(
-            ReferencePoint(
-                v_inv=float(record["v_inv"]),
-                nq_rescaled=float(record["nq_rescaled"]),
-                sigma_stat=float(record["sigma_stat"]),
-                sigma_delta=float(record["sigma_delta"]),
-                delta_inc_published=float(record["delta_inc_published"]),
-                delta_spam_published=float(record["delta_spam_published"]),
-            )
-        )
-    return points
+    _, rows = read_csv_table(Path(__file__).parent / "data" / "experimental_points.csv")
+    return [ReferencePoint(**{key: float(value) for key, value in row.items()}) for row in rows]

@@ -65,7 +65,6 @@ class BootstrapReport:
     resamples: int
     q_values: np.ndarray
     sigma_q: float
-    sigma_beta: float
     n_steps: int
     norm_dh: float
 
@@ -134,12 +133,11 @@ def bootstrap_q(
         counts = rng.multinomial(runs, probs)
         estimates.append(_fit_histogram(spec, totals, counts, counts @ excited))
 
-    q_values, betas = np.array([(e.q_value, e.beta) for e in estimates]).T
+    q_values = np.array([e.q_value for e in estimates])
     return BootstrapReport(
         resamples=resamples,
         q_values=q_values,
         sigma_q=float(q_values.std(ddof=1)),
-        sigma_beta=float(betas.std(ddof=1)),
         n_steps=n_steps,
         norm_dh=spec.norm_dh,
     )

@@ -10,7 +10,11 @@ import math
 
 import numpy as np
 
-from qfdr.qubit import ATOL, ThermalSpec
+from qfdr.qubit import ThermalSpec
+
+# Tolerance for algebraic identities on 2x2 matrices; double precision is
+# ample at this size.
+ATOL = 1e-12
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)

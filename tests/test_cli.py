@@ -14,7 +14,7 @@ from qfdr import cli
 from qfdr.analytics import temperature_profile
 from qfdr.cli import load_config, main
 from qfdr.config import COMMANDS, FORMATS, ConfigError, RunConfig, build_config, parse_document
-from qfdr.io import read_csv_table, read_samples, render_csv
+from qfdr.io import format_value, read_csv_table, read_samples, render_csv
 from qfdr.protocol import KINDS
 from qfdr.reference import load_reference_points
 from qfdr.stats import bootstrap_q, estimate_from_samples
@@ -37,7 +37,7 @@ VALID_VALUES = {
     "spam_dark": st.floats(0.0, 0.5, exclude_max=True),
     "threshold": st.floats(1e-3, 100.0),
     "include_experiment": st.booleans(),
-    "betas": st.lists(st.floats(0.0, 50.0), max_size=4),
+    "betas": st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4),
     "target_theta": st.floats(-10.0, 10.0),
     "shots": st.integers(1, 10**6),
     "output": st.sampled_from(["", "out.csv", "runs/a b.json"]),
@@ -163,6 +163,7 @@ class TestConfigSources:
             ("seed", -1),
             ("spam_bright", 0.5),
             ("n_steps", [2, 0]),
+            ("betas", ""),
             ("kind", "thermal"),
         ],
     )
@@ -217,17 +218,6 @@ class TestAnalyticCommand:
         assert code == 0
         _, rows = read_csv_table(out)
         assert [int(r["n_steps"]) for r in rows] == [2, 3, 4]
-
-    def test_json_mirrors_csv(self, tmp_path):
-        csv_path = tmp_path / "a.csv"
-        json_path = tmp_path / "a.json"
-        assert main(["analytic", "--n-steps", "3", "--output", str(csv_path)]) == 0
-        assert main(["analytic", "--n-steps", "3", "--format", "json",
-                     "--output", str(json_path)]) == 0
-        fieldnames, rows = read_csv_table(csv_path)
-        records = json.loads(json_path.read_text())
-        assert list(records[0].keys()) == fieldnames
-        assert float(rows[0]["q_value"]) == records[0]["q_value"]
 
 
 class TestSimulateCommand:
@@ -412,6 +402,33 @@ class TestDeterminismAndStability:
         assert main(["certify", "--output", str(out)]) == 0
         fieldnames, rows = read_csv_table(out)
         assert render_csv(fieldnames, rows) == out.read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analytic", "--n-steps", "3"],
+            ["analytic", "--kind", "incoherent", "--n-steps", "1,4"],
+            ["sweep"],
+            ["certify"],
+            ["temperature-profile", "--n-steps", "2,3"],
+            ["calibrate"],
+        ],
+        ids=["analytic", "analytic-incoherent", "sweep", "certify", "temperature-profile",
+             "calibrate"],
+    )
+    def test_json_mirrors_csv(self, tmp_path, argv):
+        """Every table command writes the same columns, in the same order, and
+        the same cells to CSV and to JSON."""
+        csv_path = tmp_path / "a.csv"
+        json_path = tmp_path / "a.json"
+        assert main([*argv, "--output", str(csv_path)]) == 0
+        assert main([*argv, "--format", "json", "--output", str(json_path)]) == 0
+        fieldnames, rows = read_csv_table(csv_path)
+        records = json.loads(json_path.read_text())
+        assert len(records) == len(rows) > 0
+        assert all(list(record) == fieldnames for record in records)
+        assert [[format_value(v) for v in record.values()] for record in records] \
+            == [list(row.values()) for row in rows]
 
     @pytest.mark.parametrize(
         "argv, digest",

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qfdr import protocol
 from qfdr.analytics import coherent_cumulants, incoherent_correction, incoherent_cumulants
 from qfdr.cli import main
 from qfdr.protocol import (
@@ -255,10 +256,10 @@ class TestSampleWork:
         np.testing.assert_array_equal(serial.totals, parallel.totals)
 
     def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
-        """More workers than cores split the runs into cpu_count chunks on a
-        pool of as many threads; every total stays as at one worker."""
+        """More workers than cores run on a pool of cpu_count threads, which
+        share the same fixed blocks; every total stays as at one worker."""
         pool_sizes = []
-        chunk_counts = []
+        block_counts = []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -271,18 +272,38 @@ class TestSampleWork:
                 return False
 
             def map(self, fn, items):
-                chunk_counts.append(len(items))
+                block_counts.append(len(items))
                 return map(fn, items)
 
         monkeypatch.setattr("qfdr.protocol.ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = ProtocolSpec(COHERENT, 4, EXPERIMENT)
-        serial = sample_work(spec, None, runs=1000, seed=9)
-        capped = sample_work(spec, None, runs=1000, seed=9, workers=16)
+        runs = 3 * _BLOCK_RUNS
+        serial = sample_work(spec, None, runs, seed=9)
+        capped = sample_work(spec, None, runs, seed=9, workers=16)
         assert pool_sizes == [1, 2]
-        assert chunk_counts == [1, 2]
+        assert block_counts == [3, 3]
         np.testing.assert_array_equal(serial.totals, capped.totals)
         np.testing.assert_array_equal(serial.flip_counts, capped.flip_counts)
+
+    @pytest.mark.parametrize("workers", [1, 3, 16])
+    def test_pool_maps_one_call_per_block(self, monkeypatch, workers):
+        """The pool draws ceil(runs / _BLOCK_RUNS) blocks of consecutive runs,
+        whatever the worker count."""
+        runs = 2 * _BLOCK_RUNS + 1
+        drawn = []
+        draw = protocol._sample_block
+
+        def recording(table, seed, start, n_runs):
+            drawn.append((start, n_runs))
+            return draw(table, seed, start, n_runs)
+
+        monkeypatch.setattr(protocol, "_sample_block", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        sample_work(ProtocolSpec(COHERENT, 4, EXPERIMENT), None, runs, seed=9, workers=workers)
+        assert len(drawn) == -(-runs // _BLOCK_RUNS)
+        assert sorted(drawn) == [(start, min(_BLOCK_RUNS, runs - start))
+                                 for start in range(0, runs, _BLOCK_RUNS)]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

@@ -108,7 +108,6 @@ def test_all_entries_resolve():
 # each with what needs it.
 ENTRY_POINTS = {
     "apply_spam",          # perfbench/gates.py: the readout-error step table of the paper gate
-    "read_csv_table",      # perfbench/gates.py: re-reads the tables the commands wrote
     "beta_error",          # perfbench/gates.py: the beta-refit term of the gate's sigma
     "read_samples",        # perfbench/child.py: the reanalyse operation
     "drift_scan",          # acceptance criterion 7
