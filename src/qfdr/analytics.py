@@ -247,6 +247,11 @@ def temperature_profile(n_steps: int, betas: list[float]) -> list[FdrEstimate]:
     return estimates
 
 
+def _bin_key(v_inv: float | np.ndarray) -> float | np.ndarray:
+    """Sweep bin of an inverse speed: floor(v^-1 / SWEEP_BIN_WIDTH), as a float."""
+    return np.floor(np.divide(v_inv, SWEEP_BIN_WIDTH))
+
+
 @dataclass
 class SweepResult:
     """Incoherent-protocol sweep: raw points and the per-bin upper boundary.
@@ -263,7 +268,7 @@ class SweepResult:
 
     def boundary_at(self, inverse_speed: float) -> float:
         """Supremum of the rescaled correction in the bin containing v^-1."""
-        key = math.floor(inverse_speed / SWEEP_BIN_WIDTH)
+        key = _bin_key(inverse_speed)
         i = int(np.searchsorted(self.bin_keys, key))
         if i == self.bin_keys.size or self.bin_keys[i] != key:
             raise KeyError(f"no sweep points in the bin around v^-1 = {inverse_speed}")
@@ -278,6 +283,7 @@ def incoherent_region_sweep(
     beta: float,
     omega_f_grid: np.ndarray | None = None,
     n_grid: np.ndarray | None = None,
+    at: list[float] | np.ndarray | None = None,
 ) -> SweepResult:
     """Map the (inverse speed, rescaled correction) region of incoherent ramps.
 
@@ -288,6 +294,13 @@ def incoherent_region_sweep(
     omega_start entries carry no Hamiltonian change and are skipped; the
     count is reported in the result.  The per-bin supremum over the grid
     traces the upper boundary of the attainable region.
+
+    Given inverse speeds ``at``, only the cells in their bins are evaluated
+    and returned: every cell costs one v^-1 division, and the cumulants
+    are taken of each N's wanted omega_end entries alone.  A cumulant entry
+    depends on its own omega_end only, so the returned points, bins and
+    ``boundary_at`` there carry the full sweep's bits.  ``skipped`` still
+    counts the whole grid's degenerate entries.
     """
     omega_start = SWEEP_OMEGA_START
     if omega_f_grid is None:
@@ -304,16 +317,22 @@ def incoherent_region_sweep(
     degenerate = omega_f_grid == omega_start
     skipped = int(degenerate.sum()) * int(n_grid.size)
     omega_f = omega_f_grid[~degenerate]
-
-    cumulants = np.array([incoherent_cumulants(beta, omega_start, omega_f, n) for n in n_grid])
-    mean, var = cumulants[:, 0], cumulants[:, 1]
-    q = beta / 2.0 * var - (mean - delta_free_energy(beta, omega_start, omega_f))
     norm = np.abs(omega_f - omega_start) / 2.0
-    n = n_grid[:, None]
-    v_inv = (n / norm).ravel()
-    rescaled = (n * q / norm).ravel()
+    wanted = np.broadcast_to(True, (n_grid.size, omega_f.size))
+    if at is not None:
+        wanted = np.isin(_bin_key(n_grid[:, None] / norm), _bin_key(at))
 
-    keys = np.floor(v_inv / SWEEP_BIN_WIDTH).astype(np.int64)
+    cumulants = [incoherent_cumulants(beta, omega_start, omega_f[cells], n)
+                 for n, cells in zip(n_grid, wanted) if cells.any()]
+    mean, var = np.concatenate([np.empty((2, 0)), *cumulants], axis=1)
+    # the (N, 1) and (M,) grid values of each wanted cell, N-major
+    n, norm, delta_f = (np.broadcast_to(grid, wanted.shape)[wanted] for grid in
+                        (n_grid[:, None], norm, delta_free_energy(beta, omega_start, omega_f)))
+    q = beta / 2.0 * var - (mean - delta_f)
+    v_inv = n / norm
+    rescaled = n * q / norm
+    keys = _bin_key(v_inv).astype(np.int64)
+
     order = np.argsort(keys)
     bin_keys, starts = np.unique(keys[order], return_index=True)
     return SweepResult(

@@ -155,13 +155,16 @@ def run_certify(config: RunConfig) -> int:
     Distances are expressed in each point's bundled sigma attribution (the
     published convention; rows 4-6 share the third point's sigma) and the
     pass flag requires both distances to reach the configured threshold.
+    The incoherent boundary is the binned sweep's maximum in each point's
+    v^-1 bin; the sweep evaluates only the cells of those six bins.
     """
     thermal = ThermalSpec.from_beta(config.beta)
     spam = _spam_model(config)
-    sweep = analytics.incoherent_region_sweep(config.beta)
+    references = load_reference_points()
+    sweep = analytics.incoherent_region_sweep(config.beta, at=[ref.v_inv for ref in references])
 
     rows = []
-    for ref in load_reference_points():
+    for ref in references:
         if abs(ref.v_inv - ref.n_steps / COHERENT_NORM_DH) > 0.05:
             print(
                 f"note: abscissa {ref.v_inv} is not an integer multiple of sqrt(2); "

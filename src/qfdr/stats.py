@@ -28,6 +28,8 @@ from .qubit import BETA_CAP, ThermalSpec, population_to_beta
 
 # excess bin-frequency spread at which drift_scan flags a drift
 DRIFT_THRESHOLD = 0.01
+# bootstrap_q stacks at most about this many (resample, support) cells
+_BLOCK_CELLS = 2**18
 
 
 def binomial_error(p_hat: float, trials: int) -> float:
@@ -75,19 +77,30 @@ class BootstrapReport:
 
 
 def _fit_histogram(
-    spec: ProtocolSpec, totals: np.ndarray, counts: np.ndarray, excited: int
+    spec: ProtocolSpec, totals: np.ndarray, counts: np.ndarray, excited: int | np.ndarray
 ) -> FdrEstimate:
-    """Estimate Q from ``counts[i]`` runs of total work ``totals[i]`` with
-    ``excited`` excited first readouts in all, refitting beta if coherent."""
-    runs = int(counts.sum())
-    mean = float(counts @ totals) / runs
-    variance = float(counts @ (totals - mean) ** 2) / (runs - 1) if runs > 1 else 0.0
+    """Estimate Q from stacked histograms: ``counts[..., i]`` runs of total
+    work ``totals[i]`` with ``excited[...]`` excited first readouts in all,
+    refitting beta if coherent.
+
+    The fields are arrays shaped like ``excited``, or floats for a single
+    histogram.  Each histogram takes its dot products with the vector dot
+    kernel, one (1, L) @ (L, 1) product at a time, so a stacked fit keeps
+    the bits of fitting each histogram on its own.
+    """
+    runs = counts.sum(axis=-1)
+    mean = (counts[..., None, :] @ totals[:, None])[..., 0, 0] / runs
+    squares = (totals - mean[..., None]) ** 2
+    # a single run deviates by exactly 0, so dividing by 1 gives variance 0
+    variance = (counts[..., None, :] @ squares[..., :, None])[..., 0, 0] / np.maximum(runs - 1, 1)
     if spec.kind == COHERENT:
-        beta = _beta_from_frequency(float(excited) / (spec.n_steps * runs))
+        beta = np.vectorize(_beta_from_frequency, otypes=[float])(excited / (spec.n_steps * runs))
         delta_f = 0.0
     else:
         beta = spec.thermal.beta
         delta_f = float(delta_free_energy(beta, spec.omega_start, spec.omega_end))
+    if np.ndim(excited) == 0:
+        mean, variance, beta = float(mean), float(variance), float(beta)
     return make_estimate(
         mean_work=mean,
         var_work=variance,
@@ -117,7 +130,10 @@ def bootstrap_q(
     draws from (SPAM-perturbed when ``spam`` is given).  The estimator needs
     only how many runs fall on each (total work, excited first readouts)
     pair, so a resample is one multinomial draw over the exact per-run law
-    of that pair, refitted as ``estimate_from_samples`` refits recorded runs.
+    of that pair, refitted by the ``_fit_histogram`` that refits recorded
+    runs in ``estimate_from_samples``.  Resamples are drawn and refitted in
+    stacked blocks of at most about ``_BLOCK_CELLS`` (resample, support)
+    cells; one draw of k resamples reads the stream as k single draws do.
     sigma_q is the sample standard deviation of the Q values.  Draws use the
     Philox key (seed, 1), apart from the (seed, 0) stream of ``sample_work``.
     """
@@ -128,12 +144,13 @@ def bootstrap_q(
     spec = ProtocolSpec(kind, n_steps, thermal, omega_start, omega_end)
     totals, excited, probs = run_distribution(step_table(spec, spam))
     rng = Generator(Philox(key=[seed, 1]))
-    estimates = []
-    for _ in range(resamples):
-        counts = rng.multinomial(runs, probs)
-        estimates.append(_fit_histogram(spec, totals, counts, counts @ excited))
+    block = max(1, _BLOCK_CELLS // totals.size)
+    q_values = []
+    for start in range(0, resamples, block):
+        counts = rng.multinomial(runs, probs, size=min(block, resamples - start))
+        q_values.append(_fit_histogram(spec, totals, counts, counts @ excited).q_value)
 
-    q_values = np.array([e.q_value for e in estimates])
+    q_values = np.concatenate(q_values)
     return BootstrapReport(
         resamples=resamples,
         q_values=q_values,

@@ -470,6 +470,34 @@ class TestIncoherentRegionSweep:
         for key in keys:
             assert result.boundary_at((key + 0.5) * SWEEP_BIN_WIDTH) == best[key]
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        beta=st.floats(0.0, 10.0),
+        omega_f=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=12),
+        n_max=st.integers(1, 25),
+        at=st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=6),
+    )
+    @example(beta=3.413, omega_f=[1.0, 2.0, 19.39], n_max=20, at=[2.828, 500.0])
+    def test_restricted_sweep_is_the_full_sweeps_subset(self, beta, omega_f, n_max, at):
+        """Restricted to the bins of ``at`` (some of them empty), the sweep
+        returns exactly the full sweep's points, bins and maxima there."""
+        grids = dict(omega_f_grid=np.array(omega_f), n_grid=np.arange(1, n_max + 1))
+        full = incoherent_region_sweep(beta, **grids)
+        restricted = incoherent_region_sweep(beta, **grids, at=at)
+        keys = {math.floor(v / SWEEP_BIN_WIDTH) for v in at}
+        in_bins = [math.floor(v / SWEEP_BIN_WIDTH) in keys for v in full.points[:, 0].tolist()]
+        assert restricted.points.tobytes() == full.points[in_bins].tobytes()
+        kept = np.isin(full.bin_keys, sorted(keys))
+        assert restricted.bin_keys.tolist() == full.bin_keys[kept].tolist()
+        assert restricted.bin_maxima.tobytes() == full.bin_maxima[kept].tobytes()
+        assert restricted.skipped == full.skipped
+        for v in at:
+            if math.floor(v / SWEEP_BIN_WIDTH) in full.bin_keys.tolist():
+                assert restricted.boundary_at(v) == full.boundary_at(v)
+            else:
+                with pytest.raises(KeyError):
+                    restricted.boundary_at(v)
+
     def test_missing_bin_raises(self):
         result = incoherent_region_sweep(
             3.413, omega_f_grid=np.array([2.0]), n_grid=np.array([1])

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfdr import cli
-from qfdr.analytics import temperature_profile
+from qfdr.analytics import incoherent_region_sweep, temperature_profile
 from qfdr.cli import load_config, main
 from qfdr.config import COMMANDS, FORMATS, ConfigError, RunConfig, build_config, parse_document
 from qfdr.io import format_value, read_csv_table, read_samples, render_csv
@@ -304,6 +304,16 @@ class TestCertifyCommand:
             assert float(row["delta_inc_sigma"]) >= 10.0
             assert float(row["delta_spam_sigma"]) >= 12.0
             assert row["pass"] == "true"
+
+    def test_incoherent_reference_is_the_full_sweep_boundary(self, tmp_path):
+        """certify evaluates only the sweep cells in its six bins; each
+        ref_inc still reads the full sweep's bin maximum, byte for byte."""
+        out = tmp_path / "certify.csv"
+        assert main(["certify", "--output", str(out)]) == 0
+        _, rows = read_csv_table(out)
+        full = incoherent_region_sweep(3.413)
+        assert [row["ref_inc"] for row in rows] == \
+            [format_value(full.boundary_at(ref.v_inv)) for ref in load_reference_points()]
 
     def test_foreign_beta_rejected_with_exit_2(self, tmp_path, capsys):
         """The bundled points were measured at beta = 3.413; certifying them

@@ -314,15 +314,17 @@ class TestSampleWork:
         seed=st.integers(0, 2**64 - 1),
     )
     def test_any_partition_gives_the_serial_samples(self, runs, workers, n_steps, kind, seed):
-        """Up to 8 chunks on up to 8 threads, the core count raised to 8 so
-        the partition follows ``workers`` on any machine."""
+        """Blocks shrunk to 64 runs, so the runs span up to 32 blocks on up
+        to 8 threads (the core count raised to 8 so the pool follows
+        ``workers`` on any machine), read the stream of one unsplit block."""
         if kind == "incoherent":
             spec, spam = ProtocolSpec(INCOHERENT, n_steps, EXPERIMENT, 1.0, 2.0), None
         else:
             spam = SpamModel(0.004, 0.01) if kind == "coherent+spam" else None
             spec = ProtocolSpec(COHERENT, n_steps, EXPERIMENT)
         serial = sample_work(spec, spam, runs, seed)
-        with mock.patch("os.cpu_count", return_value=8):
+        with mock.patch("os.cpu_count", return_value=8), \
+                mock.patch.object(protocol, "_BLOCK_RUNS", 64):
             parallel = sample_work(spec, spam, runs, seed, workers=workers)
         np.testing.assert_array_equal(serial.levels, parallel.levels)
         np.testing.assert_array_equal(serial.codes, parallel.codes)
@@ -331,8 +333,8 @@ class TestSampleWork:
 
     @pytest.mark.parametrize("kind", ["coherent+spam", "incoherent"])
     def test_partition_across_run_blocks(self, kind):
-        """One worker draws 2 full blocks and 3 runs more; three workers draw
-        chunks shorter than a block.  Both read the same stream."""
+        """2 full blocks and a block of 3 runs, drawn by one worker and by
+        three.  Both read the same stream."""
         if kind == "incoherent":
             spec, spam = ProtocolSpec(INCOHERENT, 26, EXPERIMENT, 1.0, 19.39), None
         else:

@@ -1,13 +1,31 @@
 """Error-analysis pipeline: binomial errors, bootstrap, distances, drift, calibration."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
-from qfdr.analytics import quantum_correction, spam_correction
-from qfdr.protocol import COHERENT, INCOHERENT, ProtocolSpec, SpamModel, sample_work
-from qfdr.qubit import ThermalSpec
+from qfdr import stats
+from qfdr.analytics import (
+    MONTE_CARLO,
+    delta_free_energy,
+    make_estimate,
+    quantum_correction,
+    spam_correction,
+)
+from qfdr.protocol import (
+    COHERENT,
+    INCOHERENT,
+    ProtocolSpec,
+    SpamModel,
+    run_distribution,
+    sample_work,
+    step_table,
+)
+from qfdr.qubit import BETA_CAP, ThermalSpec, population_to_beta
 from qfdr.stats import (
     beta_error,
     binomial_error,
@@ -19,6 +37,29 @@ from qfdr.stats import (
 )
 
 EXPERIMENT = ThermalSpec.from_beta(3.413)
+
+
+def bootstrap_one_at_a_time(spec, spam, runs, resamples, seed):
+    """Reference bootstrap: one multinomial draw and one scalar refit per
+    resample, with 1-D dot products, as the resamples were once refitted."""
+    totals, excited, probs = run_distribution(step_table(spec, spam))
+    rng = Generator(Philox(key=[seed, 1]))
+    q_values = []
+    for _ in range(resamples):
+        counts = rng.multinomial(runs, probs)
+        n_runs = int(counts.sum())
+        mean = float(counts @ totals) / n_runs
+        variance = float(counts @ (totals - mean) ** 2) / (n_runs - 1) if n_runs > 1 else 0.0
+        if spec.kind == COHERENT:
+            p_hat = float(counts @ excited) / (spec.n_steps * n_runs)
+            beta = BETA_CAP if p_hat <= 0.0 else 0.0 if p_hat >= 0.5 else population_to_beta(p_hat)
+            delta_f = 0.0
+        else:
+            beta = spec.thermal.beta
+            delta_f = float(delta_free_energy(beta, spec.omega_start, spec.omega_end))
+        q_values.append(make_estimate(mean, variance, beta, delta_f, spec.n_steps,
+                                      spec.norm_dh, MONTE_CARLO).q_value)
+    return np.array(q_values)
 
 
 class TestBinomialError:
@@ -126,6 +167,59 @@ class TestBootstrapQ:
         report = bootstrap_q(EXPERIMENT, n_steps, 8000, seed=100, kind=kind,
                              omega_start=1.0, omega_end=omega_end, spam=spam)
         assert abs(report.sigma_rescaled / spread - 1.0) <= 0.3
+
+
+class TestBootstrapBits:
+    """The stacked, blocked refit reproduces the one-resample-at-a-time
+    bootstrap bit for bit, and so every printed bootstrap sigma."""
+
+    CASES = (
+        [(COHERENT, n, 1.0, SpamModel(0.004, 0.004)) for n in range(2, 8)]
+        + [(COHERENT, 10, 1.0, None)]
+        + [(INCOHERENT, n, omega_end, None) for n in (1, 5, 26) for omega_end in (19.39, 0.3)]
+    )
+
+    @pytest.mark.parametrize("runs", [1, 2, 37, 8000])
+    @pytest.mark.parametrize("kind, n_steps, omega_end, spam", CASES)
+    def test_q_values_equal_the_per_resample_loop(self, kind, n_steps, omega_end, spam, runs):
+        spec = ProtocolSpec(kind, n_steps, EXPERIMENT, 1.0, omega_end)
+        report = bootstrap_q(EXPERIMENT, n_steps, runs, resamples=200, seed=n_steps + runs,
+                             kind=kind, omega_start=1.0, omega_end=omega_end, spam=spam)
+        expected = bootstrap_one_at_a_time(spec, spam, runs, 200, n_steps + runs)
+        assert report.q_values.tobytes() == expected.tobytes()
+        assert report.sigma_q == float(expected.std(ddof=1))
+
+    @pytest.mark.parametrize("cells", [1, 500, 2**18])
+    def test_blocks_read_the_stream_of_single_draws(self, cells):
+        """Blocks of one, of four and of all 37 resamples (the coherent
+        N = 10 support has 121 cells) give the per-resample loop's values."""
+        spec = ProtocolSpec(COHERENT, 10, EXPERIMENT)
+        with mock.patch.object(stats, "_BLOCK_CELLS", cells):
+            report = bootstrap_q(EXPERIMENT, 10, 500, resamples=37, seed=8)
+        expected = bootstrap_one_at_a_time(spec, None, 500, 37, 8)
+        assert report.q_values.tobytes() == expected.tobytes()
+
+    def test_one_multinomial_call_reads_k_single_draws(self):
+        """numpy's stacked multinomial consumes the Philox stream exactly as
+        k single draws, so the draw after a block is the same either way."""
+        _, _, probs = run_distribution(step_table(ProtocolSpec(COHERENT, 7, EXPERIMENT), None))
+        stacked, single = Generator(Philox(key=[3, 1])), Generator(Philox(key=[3, 1]))
+        for block in (5, 1, 12):
+            np.testing.assert_array_equal(
+                stacked.multinomial(8000, probs, size=block),
+                [single.multinomial(8000, probs) for _ in range(block)])
+        np.testing.assert_array_equal(stacked.multinomial(8000, probs), single.multinomial(8000, probs))
+
+    def test_memory_is_bounded(self):
+        """2000 resamples over the N = 64 support (4218 cells) would stack
+        67 MB per array at once; blocks keep the traced peak small."""
+        tracemalloc.start()
+        try:
+            bootstrap_q(EXPERIMENT, 64, 1000, resamples=2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestEstimateFromSamples:
