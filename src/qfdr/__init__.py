@@ -21,7 +21,7 @@ from .analytics import (
 from .protocol import (
     ProtocolSpec,
     SpamModel,
-    StepWorkDistribution,
+    StepTable,
     WorkSampleSet,
     apply_spam,
     coherent_step_distribution,
@@ -47,7 +47,7 @@ __all__ = [
     "FdrEstimate",
     "ProtocolSpec",
     "SpamModel",
-    "StepWorkDistribution",
+    "StepTable",
     "ThermalSpec",
     "WorkSampleSet",
     "apply_spam",

@@ -35,6 +35,8 @@ from .protocol import (
     INCOHERENT,
     ProtocolSpec,
     SpamModel,
+    apply_spam,
+    coherent_step_table,
     ramp_occupations,
 )
 from .qubit import ThermalSpec
@@ -200,12 +202,15 @@ def incoherent_correction(spec: ProtocolSpec) -> FdrEstimate:
     )
 
 
-def spam_correction(thermal: ThermalSpec, spam: SpamModel, n_steps: int) -> FdrEstimate:
+def spam_correction(
+    thermal: ThermalSpec, spam: SpamModel, n_steps: int | np.ndarray
+) -> FdrEstimate:
     """Worst-case spurious correction from readout errors alone.
 
-    Computed for energy measurements with no rotation in between: given a
-    thermal first readout, the only nonzero-work events are misreads of the
-    second readout,
+    Computed for energy measurements with no rotation in between: the
+    one-step moments of ``apply_spam``'s no-rotation (s = 0) table, scaled
+    by N, elementwise over an array ``n_steps``.  Given a thermal first
+    readout, the only nonzero-work events are misreads of the second readout,
 
         P(w=+1) = (1-p) p_bright_given_0,   P(w=-1) = p p_dark_given_1.
 
@@ -214,16 +219,12 @@ def spam_correction(thermal: ThermalSpec, spam: SpamModel, n_steps: int) -> FdrE
     rescaled value therefore grows quadratically and eventually swamps the
     genuine coherent plateau.
     """
-    if n_steps < 1:
+    if np.any(np.less(n_steps, 1)):
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    p = thermal.population
-    plus = (1.0 - p) * spam.p_bright_given_0
-    minus = p * spam.p_dark_given_1
-    step_mean = plus - minus
-    step_var = (plus + minus) - step_mean**2
+    step = apply_spam(coherent_step_table(thermal.population, 0.0), spam)
     return make_estimate(
-        mean_work=n_steps * step_mean,
-        var_work=n_steps * step_var,
+        mean_work=n_steps * step.mean(),
+        var_work=n_steps * step.variance(),
         beta=thermal.beta,
         delta_f=0.0,
         n_steps=n_steps,
@@ -353,5 +354,4 @@ def coherent_theory_curve(beta: float, n_values: np.ndarray) -> np.ndarray:
 
 def spam_bound_curve(beta: float, spam: SpamModel, n_values: np.ndarray) -> np.ndarray:
     """Rescaled worst-case readout-error correction at each step count of ``n_values``."""
-    thermal = ThermalSpec.from_beta(beta)
-    return np.array([spam_correction(thermal, spam, int(n)).rescaled for n in n_values])
+    return spam_correction(ThermalSpec.from_beta(beta), spam, np.asarray(n_values)).rescaled

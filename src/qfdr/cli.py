@@ -76,7 +76,7 @@ def _output_path(config: RunConfig) -> Path:
 
 def _write_rows(config: RunConfig, rows: list[dict]) -> None:
     path = _output_path(config)
-    write_table(path, list(rows[0]), rows, config.format)
+    write_table(path, rows, config.format)
     print(f"wrote {path} ({len(rows)} rows)")
 
 
@@ -156,22 +156,24 @@ def run_certify(config: RunConfig) -> int:
     published convention; rows 4-6 share the third point's sigma) and the
     pass flag requires both distances to reach the configured threshold.
     The incoherent boundary is the binned sweep's maximum in each point's
-    v^-1 bin; the sweep evaluates only the cells of those six bins.
+    v^-1 bin; the sweep evaluates only the cells of those six bins.  The
+    readout-error boundary is one ``spam_correction`` call over the six N.
     """
     thermal = ThermalSpec.from_beta(config.beta)
     spam = _spam_model(config)
     references = load_reference_points()
     sweep = analytics.incoherent_region_sweep(config.beta, at=[ref.v_inv for ref in references])
+    n_steps = np.array([ref.n_steps for ref in references])
+    spam_bounds = analytics.spam_correction(thermal, spam, n_steps).rescaled
 
     rows = []
-    for ref in references:
+    for ref, ref_spam in zip(references, spam_bounds.tolist()):
         if abs(ref.v_inv - ref.n_steps / COHERENT_NORM_DH) > 0.05:
             print(
                 f"note: abscissa {ref.v_inv} is not an integer multiple of sqrt(2); "
                 f"using n_steps={ref.n_steps}"
             )
         ref_inc = sweep.boundary_at(ref.v_inv)
-        ref_spam = analytics.spam_correction(thermal, spam, ref.n_steps).rescaled
         delta_inc = stats.sigma_distance(ref.nq_rescaled, ref.sigma_delta, ref_inc)
         delta_spam = stats.sigma_distance(ref.nq_rescaled, ref.sigma_delta, ref_spam)
         # both comparisons, not min(): a NaN distance fails whichever one it is
@@ -232,7 +234,7 @@ def run_calibrate(config: RunConfig) -> int:
         }
     ]
     path = _output_path(config)
-    write_table(path, list(rows[0]), rows, config.format)
+    write_table(path, rows, config.format)
     print(f"wrote {path}: fitted_duration={fitted:.6f} (true {true_duration:.6f})")
     return EXIT_OK
 

@@ -40,10 +40,11 @@ def render_json(rows: list[dict]) -> str:
     return json.dumps(rows, indent=2, default=np.generic.item) + "\n"
 
 
-def write_table(path: Path, fieldnames: list[str], rows: list[dict], fmt: str = "csv") -> None:
+def write_table(path: Path, rows: list[dict], fmt: str = "csv") -> None:
+    """Write ``rows`` as CSV or JSON; the columns are the keys of ``rows[0]``, in order."""
     path = Path(path)
     if fmt == "csv":
-        path.write_text(render_csv(fieldnames, rows))
+        path.write_text(render_csv(list(rows[0]), rows))
     elif fmt == "json":
         path.write_text(render_json(rows))
     else:

@@ -1,4 +1,4 @@
-"""Step-work distributions and seeded Monte Carlo sampling of work trajectories.
+"""Step-work tables and seeded Monte Carlo sampling of work trajectories.
 
 Two protocol families are supported:
 
@@ -6,7 +6,9 @@ Two protocol families are supported:
   +sigma_y/2 in N equal pulses of angle pi/(2N), with a perfect Gibbs reset
   before every step.  Each step flips the qubit with probability
   sin^2(pi/(4N)), so the step work w in {-1, 0, +1} follows an exact
-  three-outcome table.
+  three-outcome table.  Readout error of the second measurement enters
+  through one model, ``apply_spam``, which misreads the second level given
+  the first readout.
 * incoherent: the gap is ramped from omega_start to omega_end in N quenches
   with the eigenbasis pinned to sigma_z.  A step thermalized at gap omega_j
   yields w = +delta/2 with the thermal occupation of the excited level and
@@ -16,8 +18,8 @@ Two protocol families are supported:
 
 Thermal resets make the steps statistically independent, so a trajectory
 total is just a sum of independent draws from the per-step tables.  One
-joint (work, first readout) table per step, ``step_table``, serves both
-``sample_work`` and the exact per-run law the bootstrap resamples.  Sampling
+joint (work, first readout) law, ``StepTable``, serves ``sample_work``, the
+exact per-run law the bootstrap resamples and the readout-error bound.  Sampling
 uses a counter-based Philox stream partitioned per run and draws the runs in
 fixed blocks of ``_BLOCK_RUNS``, which the worker threads share; results are
 bit-for-bit identical for any worker count, and the block size caps the
@@ -116,51 +118,6 @@ class ProtocolSpec:
         return abs(self.omega_end - self.omega_start) / 2.0
 
 
-@dataclass(frozen=True)
-class StepWorkDistribution:
-    """Exact probability table over the work outcomes of a single step."""
-
-    works: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        works = np.asarray(self.works, dtype=np.float64)
-        probs = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "works", works)
-        object.__setattr__(self, "probs", probs)
-        if works.shape != probs.shape or works.ndim != 1:
-            raise ValueError("works and probs must be 1-d arrays of equal length")
-        # written so that a NaN fails the checks
-        if not np.all(probs >= -PROB_ATOL):
-            raise ValueError(f"negative or NaN probability in {probs}")
-        if not abs(probs.sum() - 1.0) <= PROB_ATOL:
-            raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
-
-    def mean(self) -> float:
-        return float(self.works @ self.probs)
-
-    def variance(self) -> float:
-        m = self.mean()
-        return float((self.works - m) ** 2 @ self.probs)
-
-
-def coherent_step_distribution(spec: ProtocolSpec) -> StepWorkDistribution:
-    """Three-outcome work table of one coherent step.
-
-    With thermal occupation p and flip probability s = sin^2(pi/(4N)):
-    P(w=+1) = (1-p) s, P(w=-1) = p s, P(w=0) = 1 - s.  Validated elsewhere
-    against the density-matrix simulation of the full step.
-    """
-    if spec.kind != COHERENT:
-        raise ValueError("coherent_step_distribution requires a coherent spec")
-    p = spec.thermal.population
-    s = math.sin(spec.step_angle / 2.0) ** 2
-    return StepWorkDistribution(
-        works=np.array([-1.0, 0.0, 1.0]),
-        probs=np.array([p * s, 1.0 - s, (1.0 - p) * s]),
-    )
-
-
 def ramp_occupations(
     beta: float, omega_start: float, omega_end: float | np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -176,30 +133,6 @@ def ramp_occupations(
     delta = (omega_end - omega_start) / n
     gaps = omega_start + np.multiply.outer(delta, np.arange(n))
     return delta, 1.0 / (1.0 + np.exp(np.minimum(beta * gaps, 700.0)))
-
-
-def _readout_channel(spam: SpamModel) -> np.ndarray:
-    """Second-readout misclassification as a matrix on the works (-1, 0, +1).
-
-    P'(+1) = (1 - p_dark_given_1) P(+1) + p_bright_given_0 P(0)
-    P'(-1) = (1 - p_bright_given_0) P(-1) + p_dark_given_1 P(0)
-
-    and P'(0) takes the remainder; each column sums to 1.
-    """
-    pb, pd = spam.p_bright_given_0, spam.p_dark_given_1
-    return np.array([[1.0 - pb, pd, 0.0], [pb, 1.0 - pb - pd, pd], [0.0, pb, 1.0 - pd]])
-
-
-def apply_spam(dist: StepWorkDistribution, spam: SpamModel) -> StepWorkDistribution:
-    """Perturb a coherent step table by ``_readout_channel``.
-
-    Only defined on the coherent support {-1, 0, +1}.
-    """
-    if dist.works.shape != (3,) or not np.array_equal(dist.works, [-1.0, 0.0, 1.0]):
-        raise ValueError(
-            "apply_spam supports coherent three-outcome tables with works (-1, 0, +1) only"
-        )
-    return StepWorkDistribution(works=dist.works, probs=_readout_channel(spam) @ dist.probs)
 
 
 @dataclass(frozen=True)
@@ -225,32 +158,92 @@ class StepTable:
         if not (np.all(self.probs >= -PROB_ATOL) and np.all(abs(row_sums - 1.0) <= PROB_ATOL)):
             raise ValueError("every row of a step table must be a probability table")
 
+    def mean(self) -> float:
+        """Mean of the total work, the sum of the steps' means."""
+        return float((self.probs.sum(axis=2) @ self.works).sum())
+
+    def variance(self) -> float:
+        """Variance of the total work, the sum of the independent steps'
+        variances.  Each is <d^2> - <d>^2 with d the work less the step's most
+        likely work, so a step whose mass sits on one level keeps its
+        relative precision."""
+        marginals = self.probs.sum(axis=2)
+        offsets = self.works - self.works[marginals.argmax(axis=1), None]
+        means = (marginals * offsets).sum(axis=1)
+        return float(((marginals * offsets**2).sum(axis=1) - means**2).sum())
+
+
+def coherent_step_table(p: float, s: float) -> StepTable:
+    """One-step (work, first readout) table of a coherent step.
+
+    The first readout is excited with the thermal occupation p and the pulse
+    flips it with probability s, so the (w, k) cells are (-1, 1) = p s,
+    (0, 0) = (1-p)(1-s), (0, 1) = p(1-s), (+1, 0) = (1-p) s, and the cells
+    (-1, 0) and (+1, 1) are exactly 0.  At s = 0 it is the no-rotation step.
+    """
+    zero = 1.0 - s
+    probs = np.array([[[0.0, p * s], [(1.0 - p) * zero, p * zero], [(1.0 - p) * s, 0.0]]])
+    works = np.array([-1.0, 0.0, 1.0])
+    return StepTable(works, probs, flips=works != 0.0)
+
+
+def coherent_step_distribution(spec: ProtocolSpec) -> StepTable:
+    """One-step table of a coherent protocol: ``coherent_step_table`` at its
+    occupation and flip probability s = sin^2(pi/(4N)).
+
+    Its work marginal, ``probs[0].sum(axis=1)``, is P(w=-1) = p s,
+    P(w=0) = 1 - s, P(w=+1) = (1-p) s.  Validated elsewhere against the
+    density-matrix simulation of the full step.
+    """
+    if spec.kind != COHERENT:
+        raise ValueError("coherent_step_distribution requires a coherent spec")
+    return coherent_step_table(spec.thermal.population, math.sin(spec.step_angle / 2.0) ** 2)
+
+
+def apply_spam(table: StepTable, spam: SpamModel) -> StepTable:
+    """The one readout-error model: misread the second readout of a coherent table.
+
+    Given first readout k, the second readout is level k + w, so each column
+    of the table has its own channel on the works (-1, 0, +1):
+
+    * k = 0 (ground): w 0 -> +1 with p_bright_given_0 and w +1 -> 0 with
+      p_dark_given_1;
+    * k = 1 (excited): w -1 -> 0 with p_bright_given_0 and w 0 -> -1 with
+      p_dark_given_1.
+
+    The first readout is untouched, so every column keeps its mass.  Only
+    defined on the coherent support {-1, 0, +1}.
+    """
+    if not np.array_equal(table.works, [-1.0, 0.0, 1.0]):
+        raise ValueError(
+            "apply_spam supports coherent three-outcome tables with works (-1, 0, +1) only"
+        )
+    pb, pd = spam.p_bright_given_0, spam.p_dark_given_1
+    # channel[k, to, from] on the works (-1, 0, +1); each column sums to 1
+    channel = np.array([
+        [[1.0, 0.0, 0.0], [0.0, 1.0 - pb, pd], [0.0, pb, 1.0 - pd]],
+        [[1.0 - pb, pd, 0.0], [pb, 1.0 - pd, 0.0], [0.0, 0.0, 1.0]],
+    ])
+    return StepTable(table.works, np.einsum("kab,jbk->jak", channel, table.probs), table.flips)
+
 
 def step_table(spec: ProtocolSpec, spam: SpamModel | None = None) -> StepTable:
     """The one step model that ``sample_work`` and the bootstrap draw from.
 
-    Coherent steps: the first readout is excited with the thermal occupation
-    p and the pulse flips it with s = sin^2(pi/(4N)), so the (w, k) cells are
-    (-1, 1) = p s, (0, 0) = (1-p)(1-s), (0, 1) = p(1-s), (+1, 0) = (1-p) s.
-    Readout error moves work outcomes through ``_readout_channel`` at
-    either first readout, so the work marginal is ``apply_spam``'s table.
-    Incoherent ramps get one row per quench: w = +delta/2 exactly when the
-    first readout finds the excited level occupied at gap omega_j, with the
-    occupations of ``ramp_occupations``.
+    Coherent protocols repeat ``coherent_step_distribution``'s row N times,
+    passed through ``apply_spam`` when ``spam`` is given.  Incoherent ramps
+    get one row per quench: w = +delta/2 exactly when the first readout
+    finds the excited level occupied at gap omega_j, with the occupations of
+    ``ramp_occupations``.
     """
     if spam is not None and not spam.is_trivial and spec.kind != COHERENT:
         raise ValueError("SPAM perturbation is supported for coherent protocols only")
     n = spec.n_steps
     if spec.kind == COHERENT:
-        # the work table split by first readout: rows w = -1, 0, +1,
-        # columns ground, excited
-        p = spec.thermal.population
-        minus, zero, plus = coherent_step_distribution(spec).probs
-        joint = np.array([[0.0, minus], [(1 - p) * zero, p * zero], [plus, 0.0]])
+        step = coherent_step_distribution(spec)
         if spam is not None:
-            joint = _readout_channel(spam) @ joint
-        works = np.array([-1.0, 0.0, 1.0])
-        return StepTable(works, np.broadcast_to(joint, (n, 3, 2)), flips=works != 0.0)
+            step = apply_spam(step, spam)
+        return StepTable(step.works, np.broadcast_to(step.probs, (n, 3, 2)), step.flips)
     delta, excited = ramp_occupations(spec.thermal.beta, spec.omega_start, spec.omega_end, n)
     probs = np.zeros((n, 2, 2))
     probs[:, 0, 0] = 1.0 - excited

@@ -34,8 +34,9 @@ from qfdr.protocol import (
     ProtocolSpec,
     SpamModel,
     StepTable,
-    StepWorkDistribution,
+    apply_spam,
     coherent_step_distribution,
+    coherent_step_table,
     run_distribution,
     step_table,
 )
@@ -44,11 +45,12 @@ from qfdr.qubit import ThermalSpec
 EXPERIMENT = ThermalSpec.from_beta(3.413)
 
 
-def enumerate_total_work_cumulants(step_tables):
-    """Mean and variance of the summed work over all outcome strings."""
+def enumerate_total_work_cumulants(step_laws):
+    """Mean and variance of the summed work over all outcome strings, given
+    each step's (works, probs) work law."""
     mean = 0.0
     second = 0.0
-    supports = [list(zip(t.works, t.probs)) for t in step_tables]
+    supports = [list(zip(works, probs)) for works, probs in step_laws]
     for combo in itertools.product(*supports):
         probability = 1.0
         total = 0.0
@@ -86,8 +88,9 @@ class TestCoherentCumulants:
         for n in range(1, 7):
             for beta in rng.uniform(0.0, 6.0, size=4):
                 spec = ProtocolSpec(COHERENT, n, ThermalSpec.from_beta(float(beta)))
-                tables = [coherent_step_distribution(spec)] * n
-                mean_ref, var_ref = enumerate_total_work_cumulants(tables)
+                table = coherent_step_distribution(spec)
+                laws = [(table.works, table.probs[0].sum(axis=1))] * n
+                mean_ref, var_ref = enumerate_total_work_cumulants(laws)
                 mean, var = coherent_cumulants(spec)
                 np.testing.assert_allclose(mean, mean_ref, atol=1e-10, rtol=0.0)
                 np.testing.assert_allclose(var, var_ref, atol=1e-10, rtol=0.0)
@@ -205,15 +208,19 @@ omega_end_values = st.floats(0.05, 20.0, exclude_min=True)
 
 
 def work_marginals(spec):
-    """The work table of each row of ``step_table``."""
+    """The (works, probs) work law of each row of ``step_table``."""
     table = step_table(spec)
-    return [StepWorkDistribution(table.works, row.sum(axis=1)) for row in table.probs]
+    return [(table.works, row.sum(axis=1)) for row in table.probs]
 
 
 def step_moment_sums(beta, omega_start, omega_end, n):
     spec = ProtocolSpec(INCOHERENT, n, ThermalSpec.from_beta(beta), omega_start, omega_end)
-    tables = work_marginals(spec)
-    return sum(t.mean() for t in tables), sum(t.variance() for t in tables)
+    mean = var = 0.0
+    for works, probs in work_marginals(spec):
+        step_mean = works @ probs
+        mean += step_mean
+        var += (works - step_mean) ** 2 @ probs
+    return mean, var
 
 
 class TestIncoherentCumulants:
@@ -341,6 +348,30 @@ class TestSpamCorrection:
             )
             estimate = spam_correction(thermal, SpamModel(pb, pd), n)
             np.testing.assert_allclose(estimate.q_value, expected, atol=1e-14)
+
+    def test_no_rotation_step_is_apply_spams_model(self):
+        """One readout-error model: the no-rotation per-step Q at beta = 3.413
+        and epsilon = 0.004 is 0.0030572, from ``apply_spam``'s table and from
+        ``spam_correction`` alike, not the 0.01365 of a channel that misreads
+        the whole w = 0 mass whatever the first readout was."""
+        spam = SpamModel(0.004, 0.004)
+        step = apply_spam(coherent_step_table(EXPERIMENT.population, 0.0), spam)
+        q_step = EXPERIMENT.beta / 2.0 * step.variance() - step.mean()
+        np.testing.assert_allclose(q_step, 0.0030572, atol=5e-8)
+        assert spam_correction(EXPERIMENT, spam, 1).q_value == q_step
+        assert abs(q_step - 0.01365) > 0.01
+
+    def test_array_of_step_counts(self):
+        """Elementwise over an array of N, each entry the scalar call's bits."""
+        spam = SpamModel(0.01, 0.02)
+        n = np.array([1, 2, 7, 64])
+        estimate = spam_correction(EXPERIMENT, spam, n)
+        for i, n_i in enumerate(n.tolist()):
+            scalar = spam_correction(EXPERIMENT, spam, n_i)
+            assert estimate.q_value[i] == scalar.q_value
+            assert estimate.rescaled[i] == scalar.rescaled
+        with pytest.raises(ValueError):
+            spam_correction(EXPERIMENT, spam, np.array([3, 0]))
 
     def test_run_distribution_cross_check(self):
         """The exact run law of the no-rotation misread table reproduces the

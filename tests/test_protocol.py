@@ -22,10 +22,9 @@ from qfdr.protocol import (
     PROB_ATOL,
     ProtocolSpec,
     SpamModel,
-    StepWorkDistribution,
+    StepTable,
     WorkSampleSet,
     apply_spam,
-    StepTable,
     coherent_step_distribution,
     ramp_occupations,
     run_distribution,
@@ -77,40 +76,29 @@ class TestProtocolSpec:
             incoherent_correction(ProtocolSpec(COHERENT, 3, EXPERIMENT))
 
 
-class TestStepWorkDistribution:
-    def test_normalization_enforced(self):
-        with pytest.raises(ValueError):
-            StepWorkDistribution(works=np.array([0.0, 1.0]), probs=np.array([0.6, 0.6]))
-        with pytest.raises(ValueError):
-            StepWorkDistribution(works=np.array([0.0, 1.0]), probs=np.array([1.2, -0.2]))
-        with pytest.raises(ValueError):
-            StepWorkDistribution(works=np.array([0.0, 1.0]), probs=np.array([math.nan, 1.0]))
-
-    def test_moments(self):
-        dist = StepWorkDistribution(works=np.array([-1.0, 0.0, 1.0]),
-                                    probs=np.array([0.1, 0.6, 0.3]))
-        assert abs(dist.mean() - 0.2) < 1e-15
-        assert abs(dist.variance() - (0.4 - 0.04)) < 1e-15
+def work_marginal(table):
+    """Work law (-1, 0, +1) of a one-step coherent table."""
+    return table.probs[0].sum(axis=1)
 
 
 class TestCoherentStepDistribution:
     def test_two_step_example(self):
         thermal = ThermalSpec.from_beta(population_to_beta(0.032))
-        dist = coherent_step_distribution(ProtocolSpec(COHERENT, 2, thermal))
+        probs = work_marginal(coherent_step_distribution(ProtocolSpec(COHERENT, 2, thermal)))
         s = math.sin(math.pi / 8.0) ** 2
-        np.testing.assert_allclose(dist.probs, [0.032 * s, 1.0 - s, 0.968 * s], rtol=1e-14)
-        np.testing.assert_allclose(dist.probs[2], 0.141765, atol=1e-5)
-        np.testing.assert_allclose(dist.probs[0], 0.0046864, atol=1e-6)
+        np.testing.assert_allclose(probs, [0.032 * s, 1.0 - s, 0.968 * s], rtol=1e-14)
+        np.testing.assert_allclose(probs[2], 0.141765, atol=1e-5)
+        np.testing.assert_allclose(probs[0], 0.0046864, atol=1e-6)
 
     def test_ground_state_produces_no_negative_work(self):
         # beta capped at 1e3: the excited population underflows to exactly 0
         cold = ThermalSpec.from_beta(math.inf)
-        dist = coherent_step_distribution(ProtocolSpec(COHERENT, 3, cold))
-        assert dist.probs[0] == 0.0
+        probs = work_marginal(coherent_step_distribution(ProtocolSpec(COHERENT, 3, cold)))
+        assert probs[0] == 0.0
 
     def test_quasi_static_limit(self):
-        dist = coherent_step_distribution(ProtocolSpec(COHERENT, 10**6, EXPERIMENT))
-        assert dist.probs[0] + dist.probs[2] <= math.sin(math.pi / 4e6) ** 2 < 1e-12
+        probs = work_marginal(coherent_step_distribution(ProtocolSpec(COHERENT, 10**6, EXPERIMENT)))
+        assert probs[0] + probs[2] <= math.sin(math.pi / 4e6) ** 2 < 1e-12
 
     def test_matches_density_matrix_oracle(self):
         """Closed form vs full thermalize-measure-prepare-rotate-measure simulation."""
@@ -123,13 +111,13 @@ class TestCoherentStepDistribution:
                 closed = coherent_step_distribution(spec)
                 works, probs = tpm_step_distribution(thermal, spec.step_angle)
                 np.testing.assert_array_equal(closed.works, works)
-                np.testing.assert_allclose(closed.probs, probs, atol=1e-12, rtol=0.0)
+                np.testing.assert_allclose(work_marginal(closed), probs, atol=1e-12, rtol=0.0)
 
 
 def incoherent_step(spec, j):
-    """Work marginal of row j of an incoherent ``step_table``."""
+    """(works, probs) work marginal of row j of an incoherent ``step_table``."""
     table = step_table(spec)
-    return StepWorkDistribution(works=table.works, probs=table.probs[j].sum(axis=1))
+    return table.works, table.probs[j].sum(axis=1)
 
 
 class TestIncoherentStepDistribution:
@@ -137,21 +125,21 @@ class TestIncoherentStepDistribution:
 
     def test_no_drive_is_deterministic_zero(self):
         spec = ProtocolSpec(INCOHERENT, 5, EXPERIMENT, 1.0, 1.0)
-        dist = incoherent_step(spec, 2)
-        np.testing.assert_array_equal(dist.works, [0.0, 0.0])
-        assert list(work_law(dist.works, dist.probs)) == [0.0]
-        np.testing.assert_allclose(dist.probs.sum(), 1.0, atol=1e-15)
+        works, probs = incoherent_step(spec, 2)
+        np.testing.assert_array_equal(works, [0.0, 0.0])
+        assert list(work_law(works, probs)) == [0.0]
+        np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-15)
 
     def test_infinite_temperature_is_symmetric(self):
         spec = ProtocolSpec(INCOHERENT, 4, ThermalSpec.from_beta(0.0), 1.0, 2.0)
-        dist = incoherent_step(spec, 1)
-        np.testing.assert_allclose(dist.probs, [0.5, 0.5], atol=1e-15)
+        _, probs = incoherent_step(spec, 1)
+        np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-15)
 
     def test_first_step_example(self):
         spec = ProtocolSpec(INCOHERENT, 10, EXPERIMENT, 1.0, 2.0)
-        dist = incoherent_step(spec, 0)
-        np.testing.assert_array_equal(dist.works, [-0.05, 0.05])
-        np.testing.assert_allclose(dist.probs[1], 0.0319, atol=5e-5)
+        works, probs = incoherent_step(spec, 0)
+        np.testing.assert_array_equal(works, [-0.05, 0.05])
+        np.testing.assert_allclose(probs[1], 0.0319, atol=5e-5)
 
     def test_against_born_rule_enumeration(self):
         """Brute force: enumerate both readouts of the thermal state at gap omega_j."""
@@ -176,8 +164,7 @@ class TestIncoherentStepDistribution:
                 work = energy_after - energy_before
                 expected[work] = expected.get(work, 0.0) + born
 
-            dist = incoherent_step(spec, j)
-            for work, prob in zip(dist.works, dist.probs):
+            for work, prob in zip(*incoherent_step(spec, j)):
                 # the enumeration computes works as energy differences, which
                 # lands one ulp away from the library's delta/2 arithmetic
                 key = min(expected, key=lambda k: abs(k - float(work)))
@@ -192,38 +179,63 @@ class TestApplySpam:
         np.testing.assert_array_equal(out.probs, dist.probs)
 
     def test_pure_zero_work_table(self):
-        # only misreads produce nonzero work when the rotation is absent
-        dist = StepWorkDistribution(works=np.array([-1.0, 0.0, 1.0]),
-                                    probs=np.array([0.0, 1.0, 0.0]))
-        out = apply_spam(dist, SpamModel(0.004, 0.004))
-        np.testing.assert_allclose(out.probs, [0.004, 0.992, 0.004], rtol=1e-14)
+        # only misreads produce nonzero work when the rotation is absent, and
+        # each splits by the first readout: a ground one can only gain work
+        p = 0.032
+        table = StepTable(np.array([-1.0, 0.0, 1.0]),
+                          np.array([[[0.0, 0.0], [1.0 - p, p], [0.0, 0.0]]]),
+                          flips=np.array([True, False, True]))
+        out = apply_spam(table, SpamModel(0.004, 0.004))
+        np.testing.assert_allclose(work_marginal(out), [p * 0.004, 0.996, (1 - p) * 0.004],
+                                   rtol=1e-14)
+        np.testing.assert_allclose(out.probs[0], [[0.0, p * 0.004],
+                                                  [(1 - p) * 0.996, p * 0.996],
+                                                  [(1 - p) * 0.004, 0.0]], rtol=1e-14)
 
     def test_two_step_worked_example(self):
-        thermal = ThermalSpec.from_beta(population_to_beta(0.032))
+        # a flip from ground stays +1 unless misread dark; a ground non-flip
+        # reads +1 when misread bright
+        p = 0.032
+        thermal = ThermalSpec.from_beta(population_to_beta(p))
         dist = coherent_step_distribution(ProtocolSpec(COHERENT, 2, thermal))
         out = apply_spam(dist, SpamModel(0.004, 0.004))
-        expected_plus = 0.996 * dist.probs[2] + 0.004 * dist.probs[1]
-        np.testing.assert_allclose(out.probs[2], expected_plus, rtol=1e-14)
-        np.testing.assert_allclose(out.probs[2], 0.144612, atol=1e-5)
+        s = math.sin(math.pi / 8.0) ** 2
+        expected_plus = 0.996 * work_marginal(dist)[2] + 0.004 * (1 - p) * (1 - s)
+        np.testing.assert_allclose(work_marginal(out)[2], expected_plus, rtol=1e-14)
+        np.testing.assert_allclose(work_marginal(out)[2], 0.1444982, atol=1e-7)
 
     def test_rejects_non_coherent_support(self):
-        incoherent = incoherent_step(ProtocolSpec(INCOHERENT, 4, EXPERIMENT, 1.0, 2.0), 0)
+        incoherent = step_table(ProtocolSpec(INCOHERENT, 4, EXPERIMENT, 1.0, 2.0))
         with pytest.raises(ValueError):
             apply_spam(incoherent, SpamModel(0.004, 0.004))
 
     def test_normalization_and_broadening(self):
+        """Each first-readout column keeps its mass, and the nonzero-work
+        mass moves by exactly (1-p)(pb (1-s) - pd s) + p (pd (1-s) - pb s):
+        a misread non-flip broadens, a misread flip narrows.  With equal
+        rates that is pb (1 - 2s) >= 0, so the table only broadens."""
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            n = int(rng.integers(1, 40))
-            beta = float(rng.uniform(0.0, 6.0))
-            spam = SpamModel(float(rng.uniform(0.0, 0.4)), float(rng.uniform(0.0, 0.4)))
-            spec = ProtocolSpec(COHERENT, n, ThermalSpec.from_beta(beta))
-            dist = coherent_step_distribution(spec)
-            out = apply_spam(dist, spam)
-            assert abs(out.probs.sum() - 1.0) < 1e-12
-            nonzero_before = dist.probs[0] + dist.probs[2]
-            nonzero_after = out.probs[0] + out.probs[2]
-            assert nonzero_after >= nonzero_before - 1e-15
+        for equal_rates in (False, True):
+            for _ in range(200):
+                n = int(rng.integers(1, 40))
+                beta = float(rng.uniform(0.0, 6.0))
+                pb, pd = float(rng.uniform(0.0, 0.4)), float(rng.uniform(0.0, 0.4))
+                if equal_rates:
+                    pd = pb
+                spec = ProtocolSpec(COHERENT, n, ThermalSpec.from_beta(beta))
+                dist = coherent_step_distribution(spec)
+                out = apply_spam(dist, SpamModel(pb, pd))
+                assert abs(out.probs.sum() - 1.0) < 1e-12
+                np.testing.assert_allclose(out.probs.sum(axis=1), dist.probs.sum(axis=1),
+                                           atol=1e-15, rtol=0.0)
+                before, after = work_marginal(dist), work_marginal(out)
+                nonzero_before = before[0] + before[2]
+                nonzero_after = after[0] + after[2]
+                p, s = spec.thermal.population, math.sin(math.pi / (4 * n)) ** 2
+                change = (1 - p) * (pb * (1 - s) - pd * s) + p * (pd * (1 - s) - pb * s)
+                assert abs(nonzero_after - nonzero_before - change) <= 1e-15
+                if equal_rates:
+                    assert nonzero_after >= nonzero_before - 1e-15
 
     def test_rate_bounds(self):
         with pytest.raises(ValueError):
@@ -373,12 +385,12 @@ class TestSampleWork:
     def test_empirical_step_frequencies_converge(self):
         """With a million runs each outcome frequency sits within 5 binomial sigmas."""
         spec = ProtocolSpec(COHERENT, 3, EXPERIMENT)
-        dist = coherent_step_distribution(spec)
+        probs = work_marginal(coherent_step_distribution(spec))
         runs = 1_000_000
         samples = sample_work(spec, None, runs=runs, seed=31)
         trials = runs * spec.n_steps
         # nonzero-work frequency across all steps
-        p_nonzero = dist.probs[0] + dist.probs[2]
+        p_nonzero = probs[0] + probs[2]
         observed = samples.flip_counts.sum() / trials
         sigma = math.sqrt(p_nonzero * (1 - p_nonzero) / trials)
         assert abs(observed - p_nonzero) < 5 * sigma
@@ -399,9 +411,9 @@ class TestSampleWork:
         spec = ProtocolSpec(COHERENT, 2, EXPERIMENT)
         spam = SpamModel(0.004, 0.004)
         samples = sample_work(spec, spam, runs=200_000, seed=55)
-        perturbed = apply_spam(coherent_step_distribution(spec), spam)
+        perturbed = work_marginal(apply_spam(coherent_step_distribution(spec), spam))
         trials = samples.runs * spec.n_steps
-        p_nonzero = perturbed.probs[0] + perturbed.probs[2]
+        p_nonzero = perturbed[0] + perturbed[2]
         observed = samples.flip_counts.sum() / trials
         assert abs(observed - p_nonzero) < 5 * math.sqrt(p_nonzero * (1 - p_nonzero) / trials)
 
@@ -454,7 +466,7 @@ class TestStreamGolden:
               "--runs", "8000", "--seed", "0"],
              "7fb41798f20f454aa775f8de372add7ac78eb6682e70f83ba41f307f4f8fe61a"),
             (["--n-steps", "7", "--runs", "8000", "--spam", "--seed", "0"],
-             "ed7d15344d7182422b9538920af6c24d60c1f95ee7de3628752b953b2700a67c"),
+             "14a870b0abbb8ba554fcb2b56094a6649dcdc816bcef53da4b3496ef8a30d68a"),
         ],
         ids=["coherent-n10-100k", "incoherent-n26", "coherent-n7-spam"],
     )
@@ -491,9 +503,9 @@ def work_law(works, probs):
     return law
 
 
-def assert_work_marginal(works, row, step):
+def assert_work_marginal(works, row, step_works, step_probs):
     """A (work, first readout) table row sums over k to the step's work table."""
-    a, b = work_law(works, row.sum(axis=1)), work_law(step.works, step.probs)
+    a, b = work_law(works, row.sum(axis=1)), work_law(step_works, step_probs)
     for w in set(a) | set(b):
         assert abs(a.get(w, 0.0) - b.get(w, 0.0)) <= PROB_ATOL
 
@@ -530,16 +542,16 @@ class TestStepTable:
         if spam is not None:
             step = apply_spam(step, spam)
         for row in table.probs:
-            assert_work_marginal(table.works, row, step)
+            assert_work_marginal(table.works, row, step.works, work_marginal(step))
             assert abs(row[:, 1].sum() - thermal_population(beta)) <= PROB_ATOL
-        mean, var = run_moments(table)
         if spam is None:
             mean_ref, var_ref = coherent_cumulants(spec)
         else:
             mean_ref, var_ref = n * step.mean(), n * step.variance()
         # the mean is 0 at beta = 0, where only an absolute rounding bound applies
-        assert math.isclose(mean, mean_ref, rel_tol=1e-12, abs_tol=1e-15 * n)
-        assert math.isclose(var, var_ref, rel_tol=1e-12)
+        for mean, var in (run_moments(table), (table.mean(), table.variance())):
+            assert math.isclose(mean, mean_ref, rel_tol=1e-12, abs_tol=1e-15 * n)
+            assert math.isclose(var, var_ref, rel_tol=1e-12)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -559,16 +571,15 @@ class TestStepTable:
         delta = (omega_end - omega_start) / n
         for j, row in enumerate(table.probs):
             excited = thermal_population(min(beta * (omega_start + j * delta), 700.0))
-            step = StepWorkDistribution(works=[-delta / 2.0, delta / 2.0],
-                                        probs=[1.0 - excited, excited])
-            assert_work_marginal(table.works, row, step)
+            assert_work_marginal(table.works, row, [-delta / 2.0, delta / 2.0],
+                                 [1.0 - excited, excited])
             assert abs(row[:, 1].sum() - excited) <= PROB_ATOL
-        mean, var = run_moments(table)
         mean_ref, var_ref = incoherent_cumulants(beta, omega_start, omega_end, n)
         span = abs(omega_end - omega_start)
         # f - 1/2 loses absolute precision ~eps when beta*omega is tiny
-        assert math.isclose(mean, mean_ref, rel_tol=1e-12, abs_tol=1e-15 * n * span)
-        assert math.isclose(var, var_ref, rel_tol=1e-12)
+        for mean, var in (run_moments(table), (table.mean(), table.variance())):
+            assert math.isclose(mean, mean_ref, rel_tol=1e-12, abs_tol=1e-15 * n * span)
+            assert math.isclose(var, var_ref, rel_tol=1e-12)
 
     def test_first_readout_follows_the_work_sign(self):
         """Without readout error an upward flip starts in the ground state and
@@ -582,6 +593,51 @@ class TestStepTable:
         probs[1, 0, 1] = math.nan
         with pytest.raises(ValueError):
             StepTable(np.array([-0.5, 0.5]), probs, flips=np.array([False, True]))
+
+    def test_normalization_enforced(self):
+        """Rows over-full, negative or NaN, with the work law of each in its
+        diagonal cells."""
+        for law in ([0.6, 0.6], [1.2, -0.2], [math.nan, 1.0]):
+            with pytest.raises(ValueError):
+                StepTable(np.array([0.0, 1.0]), np.array([np.diag(law)]),
+                          flips=np.array([False, True]))
+
+    def test_moments(self):
+        """Total-work moments: each step's, summed over the steps."""
+        row = np.array([[0.0, 0.1], [0.3, 0.3], [0.3, 0.0]])
+        works, flips = np.array([-1.0, 0.0, 1.0]), np.array([True, False, True])
+        one = StepTable(works, row[None], flips)
+        assert abs(one.mean() - 0.2) < 1e-15
+        assert abs(one.variance() - (0.4 - 0.04)) < 1e-15
+        other = np.array([[0.2, 0.0], [0.4, 0.4], [0.0, 0.0]])
+        two = StepTable(works, np.stack([row, other]), flips)
+        assert abs(two.mean() - (0.2 - 0.2)) < 1e-15
+        assert abs(two.variance() - (0.36 + 0.16)) < 1e-15
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 60), beta=st.floats(0.0, 10.0), pb=spam_rates, pd=spam_rates)
+    @example(n=7, beta=3.413, pb=0.004, pd=0.004)
+    @example(n=1, beta=0.0, pb=0.49, pd=0.0)
+    def test_coherent_table_by_enumeration(self, n, beta, pb, pd):
+        """Every coherent cell, rebuilt from the story of one step: the first
+        readout k is excited with p, the pulse flips the level with s, and
+        the second readout reads ground as bright with pb and excited as dark
+        with pd; the work is the second reading less k."""
+        p = thermal_population(beta)
+        s = math.sin(math.pi / (4 * n)) ** 2
+        misread = (pb, pd)
+        expected = np.zeros((3, 2))
+        for k, p_first in ((0, 1.0 - p), (1, p)):
+            for level, p_level in ((k, 1.0 - s), (1 - k, s)):
+                for reading, p_reading in ((level, 1.0 - misread[level]),
+                                           (1 - level, misread[level])):
+                    expected[reading - k + 1, k] += p_first * p_level * p_reading
+        table = step_table(ProtocolSpec(COHERENT, n, ThermalSpec.from_beta(beta)),
+                           SpamModel(pb, pd))
+        np.testing.assert_allclose(table.probs, np.broadcast_to(expected, (n, 3, 2)),
+                                   atol=1e-15, rtol=0.0)
+        # a ground first readout cannot lose work, nor an excited one gain it
+        assert np.all(table.probs[:, 0, 0] == 0.0) and np.all(table.probs[:, 2, 1] == 0.0)
 
     def test_spam_with_incoherent_protocol_rejected(self):
         spec = ProtocolSpec(INCOHERENT, 3, EXPERIMENT, 1.0, 2.0)

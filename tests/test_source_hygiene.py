@@ -107,7 +107,6 @@ def test_all_entries_resolve():
 # Definitions that no command reaches but that code outside the package calls,
 # each with what needs it.
 ENTRY_POINTS = {
-    "apply_spam",          # perfbench/gates.py: the readout-error step table of the paper gate
     "beta_error",          # perfbench/gates.py: the beta-refit term of the gate's sigma
     "read_samples",        # perfbench/child.py: the reanalyse operation
     "drift_scan",          # acceptance criterion 7
