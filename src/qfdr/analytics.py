@@ -241,8 +241,6 @@ def temperature_profile(n_steps: int, betas: list[float]) -> list[FdrEstimate]:
     """
     estimates = []
     for beta in betas:
-        if beta < 0.0:
-            raise ValueError(f"betas must be >= 0, got {beta}")
         spec = ProtocolSpec(COHERENT, n_steps, ThermalSpec.from_beta(beta))
         estimates.append(quantum_correction(spec))
     return estimates

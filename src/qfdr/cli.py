@@ -157,14 +157,12 @@ def run_certify(config: RunConfig) -> int:
     pass flag requires both distances to reach the configured threshold.
     The incoherent boundary is the binned sweep's maximum in each point's
     v^-1 bin; the sweep evaluates only the cells of those six bins.  The
-    readout-error boundary is one ``spam_correction`` call over the six N.
+    readout-error boundary is ``spam_bound_curve`` at the six N, as in sweep.
     """
-    thermal = ThermalSpec.from_beta(config.beta)
-    spam = _spam_model(config)
     references = load_reference_points()
     sweep = analytics.incoherent_region_sweep(config.beta, at=[ref.v_inv for ref in references])
-    n_steps = np.array([ref.n_steps for ref in references])
-    spam_bounds = analytics.spam_correction(thermal, spam, n_steps).rescaled
+    spam_bounds = analytics.spam_bound_curve(
+        config.beta, _spam_model(config), [ref.n_steps for ref in references])
 
     rows = []
     for ref, ref_spam in zip(references, spam_bounds.tolist()):

@@ -141,9 +141,9 @@ class StepTable:
 
     ``probs[j, l, k]`` is the probability that step j does work ``works[l]``
     with first readout k (0 ground, 1 excited).  ``works`` is an arithmetic
-    progression, so run totals lie on the grid N works[0] + i (works[1] -
-    works[0]).  ``flips[l]`` marks the levels counted in
-    ``WorkSampleSet.flip_counts``.
+    progression, so a run whose levels sum to i totals ``total_work(i)``: the
+    one rule by which the exact run law and the sampler both total a run.
+    ``flips[l]`` marks the levels counted in ``WorkSampleSet.flip_counts``.
     """
 
     works: np.ndarray
@@ -157,6 +157,10 @@ class StepTable:
         # written so that a NaN fails the checks
         if not (np.all(self.probs >= -PROB_ATOL) and np.all(abs(row_sums - 1.0) <= PROB_ATOL)):
             raise ValueError("every row of a step table must be a probability table")
+
+    def total_work(self, i: np.ndarray) -> np.ndarray:
+        """Run total of level sum ``i``: N works[0] + i (works[1] - works[0])."""
+        return self.probs.shape[0] * self.works[0] + i * (self.works[1] - self.works[0])
 
     def mean(self) -> float:
         """Mean of the total work, the sum of the steps' means."""
@@ -256,7 +260,7 @@ def run_distribution(table: StepTable) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Exact law of one run's (W, K), K counting its excited first readouts.
 
     The N-fold convolution of the step rows, returned over its support as
-    parallel arrays of totals W, counts K and probabilities.
+    parallel arrays of totals W (``table.total_work``), counts K and probabilities.
     """
     n, levels, _ = table.probs.shape
     pmf = np.zeros((n * (levels - 1) + 1, n + 1))
@@ -269,15 +273,15 @@ def run_distribution(table: StepTable) -> tuple[np.ndarray, np.ndarray, np.ndarr
             if q > 0.0:
                 pmf[level : level + rows, k : k + cols] += q * done
     i, k = np.nonzero(pmf)
-    return n * table.works[0] + i * (table.works[1] - table.works[0]), k, pmf[i, k]
+    return table.total_work(i), k, pmf[i, k]
 
 
 @dataclass(frozen=True)
 class WorkSampleSet:
     """Monte Carlo work totals plus per-step readout counts.
 
-    Run r's total is ``levels[codes[r]]``, ``levels`` being the few distinct
-    totals in ascending order and ``codes`` the narrowest unsigned integers.
+    Run r's total is ``levels[codes[r]]``: ``levels`` are the distinct grid totals of
+    ``StepTable.total_work`` in ascending order, ``codes`` the narrowest unsigned integers.
     ``first_excited_counts[j]`` counts excited first readouts at step j over
     all runs; ``flip_counts[j]`` counts nonzero-work outcomes at step j for
     coherent protocols and positive-work outcomes for incoherent ones.  The
@@ -320,12 +324,12 @@ def _sample_block(
     bit_generator = Philox(key=seed)
     bit_generator.advance(start * (budget // _PHILOX_BLOCK))
     u = Generator(bit_generator).random((n_runs, budget))[:, :n]
-    # cell index 2 l + k of each step by inverse-CDF lookup in its row
+    # cell 2 l + k of each step by inverse-CDF lookup in its row; levels sum as integers
     cell = np.zeros(u.shape, dtype=np.int8)
     for bound in table.probs.reshape(n, -1).cumsum(axis=1)[:, :-1].T:
         cell += u >= bound
     level, first = np.divmod(cell, 2)
-    return (table.works[level].sum(axis=1), first.sum(axis=0, dtype=np.int64),
+    return (level.sum(axis=1), first.sum(axis=0, dtype=np.int64),
             table.flips[level].sum(axis=0, dtype=np.int64))
 
 
@@ -336,7 +340,7 @@ def sample_work(
     seed: int,
     workers: int = 1,
 ) -> WorkSampleSet:
-    """Draw ``runs`` independent trajectory totals W = sum of N step works.
+    """Draw ``runs`` run totals W, each the table's ``total_work`` of its N step levels.
 
     Each step draws its (work, first readout) cell from ``step_table`` with
     one uniform (SPAM-perturbed when ``spam`` is given).  Each run owns a
@@ -354,9 +358,9 @@ def sample_work(
     with ThreadPoolExecutor(max_workers=min(workers, len(starts), os.cpu_count() or 1)) as pool:
         results = list(pool.map(
             lambda start: _sample_block(table, seed, start, min(_BLOCK_RUNS, runs - start)), starts))
-    totals, first_counts, flip_counts = zip(*results)
+    level_sums, first_counts, flip_counts = zip(*results)
     return WorkSampleSet.from_totals(
-        np.concatenate(totals),
+        table.total_work(np.concatenate(level_sums)),
         first_excited_counts=np.sum(first_counts, axis=0),
         flip_counts=np.sum(flip_counts, axis=0),
         seed=seed,

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qfdr import protocol
 from qfdr.analytics import coherent_cumulants, incoherent_correction, incoherent_cumulants
 from qfdr.cli import main
+from qfdr.io import read_samples, write_samples
 from qfdr.protocol import (
     _BLOCK_RUNS,
     COHERENT,
@@ -403,9 +404,10 @@ class TestSampleWork:
     def test_incoherent_totals_take_expected_values(self):
         spec = ProtocolSpec(INCOHERENT, 2, EXPERIMENT, 1.0, 2.0)
         samples = sample_work(spec, None, runs=500, seed=4)
-        # each step contributes +-delta/2 = +-0.25
-        allowed = {-0.5, 0.0, 0.5}
-        assert set(np.round(samples.totals, 12)) <= allowed
+        # each step contributes +-delta/2 = +-0.25, so the grid is exact
+        grid = run_distribution(step_table(spec))[0]
+        np.testing.assert_array_equal(grid, [-0.5, 0.0, 0.5])
+        assert set(samples.totals.tolist()) <= set(grid.tolist())
 
     def test_spam_shifts_step_frequencies(self):
         spec = ProtocolSpec(COHERENT, 2, EXPERIMENT)
@@ -464,11 +466,15 @@ class TestStreamGolden:
              "53aa1be78ccfd582379d577ea0faf760e3daecc9743e059525f8d6a666e70408"),
             (["--kind", "incoherent", "--n-steps", "26", "--omega-end", "19.39",
               "--runs", "8000", "--seed", "0"],
-             "7fb41798f20f454aa775f8de372add7ac78eb6682e70f83ba41f307f4f8fe61a"),
+             "2c8f54a3f260b9aeea0e002b819e9b397b5bacab0f02a070d91b5b0027d972fb"),
+            (["--kind", "incoherent", "--n-steps", "20", "--beta", "1", "--omega-start", "3",
+              "--omega-end", "1", "--runs", "8000", "--seed", "0"],
+             "88b7320a45481cf79f9261c0eedeb77e57ee3da0923fd71e3df4d255beaaaa32"),
             (["--n-steps", "7", "--runs", "8000", "--spam", "--seed", "0"],
              "14a870b0abbb8ba554fcb2b56094a6649dcdc816bcef53da4b3496ef8a30d68a"),
         ],
-        ids=["coherent-n10-100k", "incoherent-n26", "coherent-n7-spam"],
+        ids=["coherent-n10-100k", "incoherent-n26", "incoherent-descending-n20",
+             "coherent-n7-spam"],
     )
     def test_simulate_file_digest(self, tmp_path, argv, digest):
         out = tmp_path / "samples.csv"
@@ -485,6 +491,40 @@ class TestSampleWorkTotals:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (300,)
         assert np.all(np.abs(a) <= 4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        case=st.sampled_from(["coherent", "coherent+spam", "ascending", "descending", "flat"]),
+        n=st.integers(1, 120),
+        beta=st.floats(0.0, 10.0),
+        span=st.floats(0.05, 20.0),
+        runs=st.integers(1, 3000),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(case="ascending", n=200, beta=1.0, span=2.0, runs=20_000, seed=0)
+    def test_totals_lie_on_the_run_law_grid(self, tmp_path_factory, case, n, beta, span, runs,
+                                            seed):
+        """Every sampled total is a total of the exact run law, bit for bit,
+        so at most N (L - 1) + 1 distinct totals occur for L step levels,
+        before and after a samples-file round trip.  In the example (omega
+        1 -> 3) the runs take 34 run-law totals, which float sums of the step
+        works would spread over 78 values."""
+        thermal, spam = ThermalSpec.from_beta(beta), None
+        if case.startswith("coherent"):
+            spec = ProtocolSpec(COHERENT, n, thermal)
+            spam = SpamModel(0.004, 0.01) if case == "coherent+spam" else None
+        else:
+            omegas = {"ascending": (1.0, 1.0 + span), "descending": (1.0 + span, 1.0),
+                      "flat": (span, span)}[case]
+            spec = ProtocolSpec(INCOHERENT, n, thermal, *omegas)
+        table = step_table(spec, spam)
+        grid = run_distribution(table)[0].view(np.uint64)
+        samples = sample_work(spec, spam, runs, seed)
+        path = tmp_path_factory.mktemp("grid") / "samples.csv"
+        write_samples(path, samples)
+        for levels in (samples.levels, read_samples(path).levels):
+            assert levels.size <= n * (table.works.size - 1) + 1
+            assert np.isin(levels.view(np.uint64), grid).all()
 
     def test_frequencies(self):
         # a single quench from gap 1 to 3 at beta = ln 3 does w = +1 with
