@@ -35,9 +35,9 @@ from .protocol import (
     INCOHERENT,
     ProtocolSpec,
     SpamModel,
+    _ramp_occupations_into,
     apply_spam,
     coherent_step_table,
-    ramp_occupations,
 )
 from .qubit import ThermalSpec
 
@@ -165,17 +165,32 @@ def incoherent_cumulants(
 
     With delta and the excited occupations f_j of ``ramp_occupations``,
 
-        <W> = sum_j delta (f_j - 1/2),   Var(W) = sum_j delta^2 f_j (1 - f_j),
+        <W> = sum_j delta (f_j - 1/2),   Var(W) = sum_j (delta^2 f_j) (1 - f_j),
 
-    elementwise over an array ``omega_end``.  Each entry sums its own steps
-    along the last axis, pairwise, so a scalar call and every entry of an
-    array call give the same bits.
+    elementwise over an array ``omega_end``.  The (entries, N) terms are
+    computed in place, in two scratch arrays of the call's own, by the same
+    per-entry operations in the same order and association as the formulas
+    above.  Each entry sums its own steps along the last axis, pairwise, so
+    a scalar call and every entry of an array call give the same bits.
     """
-    delta, occupied = ramp_occupations(beta, omega_start, omega_end, n)
+    omega_end = np.asarray(omega_end, dtype=np.float64)
+    return _incoherent_cumulants_into(beta, omega_start, omega_end, n,
+                                      np.empty((2, omega_end.size * n)))
+
+
+def _incoherent_cumulants_into(
+    beta: float, omega_start: float, omega_end: np.ndarray, n: int, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``incoherent_cumulants`` computed in the two flat float64 rows of
+    ``scratch``, each at least ``omega_end.size * n`` long."""
+    delta, occupied = _ramp_occupations_into(beta, omega_start, omega_end, n, scratch[0])
+    work = scratch[1][: occupied.size].reshape(occupied.shape)
     delta = delta[..., None]
-    mean = np.sum(delta * (occupied - 0.5), axis=-1)
-    var = np.sum(delta**2 * occupied * (1.0 - occupied), axis=-1)
-    return mean, var
+    np.subtract(occupied, 0.5, out=work)
+    mean = np.multiply(work, delta, out=work).sum(axis=-1)
+    np.subtract(1.0, occupied, out=work)
+    np.multiply(occupied, delta**2, out=occupied)
+    return mean, np.multiply(occupied, work, out=occupied).sum(axis=-1)
 
 
 def incoherent_correction(spec: ProtocolSpec) -> FdrEstimate:
@@ -312,6 +327,8 @@ def incoherent_region_sweep(
         raise ValueError("sweep grids must be non-empty")
     if not np.all((omega_f_grid > 0.0) & (omega_f_grid < math.inf)):
         raise ValueError("omega_f grid entries must be finite and positive")
+    if not np.all(n_grid >= 1):
+        raise ValueError("N grid entries must be >= 1")
 
     degenerate = omega_f_grid == omega_start
     skipped = int(degenerate.sum()) * int(n_grid.size)
@@ -321,7 +338,9 @@ def incoherent_region_sweep(
     if at is not None:
         wanted = np.isin(_bin_key(n_grid[:, None] / norm), _bin_key(at))
 
-    cumulants = [incoherent_cumulants(beta, omega_start, omega_f[cells], n)
+    # one scratch pair, sized for the largest N, serves every N in turn
+    scratch = np.empty((2, omega_f.size * int(n_grid.max())))
+    cumulants = [_incoherent_cumulants_into(beta, omega_start, omega_f[cells], n, scratch)
                  for n, cells in zip(n_grid, wanted) if cells.any()]
     mean, var = np.concatenate([np.empty((2, 0)), *cumulants], axis=1)
     # the (N, 1) and (M,) grid values of each wanted cell, N-major

@@ -3,14 +3,21 @@
 All floats are written with 17 significant digits and '.' decimals so that
 re-running a command with the same configuration and seed yields
 byte-identical files, and re-parsing plus re-emitting any table is the
-identity.  Sample files format each distinct work level once (a run total
-takes one of a few), write their rows in blocks of runs, and have their data
-rows parsed by numpy's C reader (``np.loadtxt``).
+identity.  CSV tables are rendered a column at a time: a column of Python
+floats alone goes through the module's one float conversion, '%.17g',
+once per cell, a column of strings alone is passed through, and any other
+column, numpy scalars included, is formatted cell by cell by
+``format_value``, which gives a float the same conversion; one '%' then lays
+the cells out row by row, so the text equals the cell-by-cell rendering.  Sample files format each distinct work
+level once (a run total takes one of a few), write their rows in blocks of
+runs, and have their data rows parsed by numpy's C reader (``np.loadtxt``).
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +25,14 @@ import numpy as np
 from .protocol import _BLOCK_RUNS, ProtocolSpec, SpamModel, WorkSampleSet
 from .qubit import ThermalSpec
 
+# the one text of a float: 17 significant digits, round-trip exact
+_FLOAT = "%.17g"
+
 
 def format_value(value) -> str:
     # floats first: they fill most cells, and no float is a bool or an int
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        return _FLOAT % float(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -30,9 +40,25 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _column_spec(values: list) -> tuple[str, list]:
+    """The ``%`` conversion and the cells of one column, by the module's type rule."""
+    types = set(map(type, values))
+    if types == {float}:
+        return _FLOAT, values
+    if types <= {str}:
+        return "%s", values
+    return "%s", list(map(format_value, values))
+
+
 def render_csv(fieldnames: list[str], rows: list[dict]) -> str:
-    columns = [[format_value(row[name]) for row in rows] for name in fieldnames]
-    return "\n".join([",".join(fieldnames), *map(",".join, zip(*columns))]) + "\n"
+    specs, columns = [], []
+    for name in fieldnames:
+        spec, column = _column_spec(list(map(itemgetter(name), rows)))
+        specs.append(spec)
+        columns.append(column)
+    # one '%' over the cells, row-major; a table with no columns has no row lines
+    lines = (",".join(specs) + "\n") * (len(rows) if columns else 0)
+    return ",".join(fieldnames) + "\n" + lines % tuple(chain.from_iterable(zip(*columns)))
 
 
 def render_json(rows: list[dict]) -> str:

@@ -127,12 +127,28 @@ def ramp_occupations(
     omega_start + j delta (j = 0 .. N-1), f_j = 1 / (1 + exp(beta omega_j))
     with beta omega_j capped at 700.  ``f[..., j]`` is elementwise over an
     array ``omega_end``: f has the shape of ``omega_end`` plus a last axis of
-    the N steps.
+    the N steps, in a fresh array.
     """
     omega_end = np.asarray(omega_end, dtype=np.float64)
+    return _ramp_occupations_into(beta, omega_start, omega_end, n, np.empty(omega_end.size * n))
+
+
+def _ramp_occupations_into(
+    beta: float, omega_start: float, omega_end: np.ndarray, n: int, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``ramp_occupations`` with f computed in place in the leading
+    ``omega_end.size * n`` entries of the flat float64 array ``scratch``, by
+    the per-entry operations of 1 / (1 + exp(min(beta (omega_start + delta j),
+    700))) in that order, so f has the same bits wherever it lives."""
     delta = (omega_end - omega_start) / n
-    gaps = omega_start + np.multiply.outer(delta, np.arange(n))
-    return delta, 1.0 / (1.0 + np.exp(np.minimum(beta * gaps, 700.0)))
+    f = scratch[: delta.size * n].reshape(*delta.shape, n)
+    np.multiply(delta[..., None], np.arange(n, dtype=np.float64), out=f)
+    np.add(f, omega_start, out=f)
+    np.multiply(f, beta, out=f)
+    np.minimum(f, 700.0, out=f)
+    np.exp(f, out=f)
+    np.add(f, 1.0, out=f)
+    return delta, np.divide(1.0, f, out=f)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ formulas.
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from qfdr.analytics import (
     SWEEP_BIN_WIDTH,
+    SWEEP_OMEGA_START,
     FdrEstimate,
     coherent_asymptote,
     coherent_cumulants,
@@ -37,6 +40,7 @@ from qfdr.protocol import (
     apply_spam,
     coherent_step_distribution,
     coherent_step_table,
+    ramp_occupations,
     run_distribution,
     step_table,
 )
@@ -541,6 +545,153 @@ class TestIncoherentRegionSweep:
             incoherent_region_sweep(3.413, omega_f_grid=np.array([]))
         with pytest.raises(ValueError):
             incoherent_region_sweep(3.413, omega_f_grid=np.array([-1.0]))
+
+
+def out_of_place_occupations(beta, omega_start, omega_end, n):
+    """The ramp law as first written, one fresh array per operation: the bit
+    reference of the in-place kernel."""
+    omega_end = np.asarray(omega_end, dtype=np.float64)
+    delta = (omega_end - omega_start) / n
+    gaps = omega_start + np.multiply.outer(delta, np.arange(n))
+    return delta, 1.0 / (1.0 + np.exp(np.minimum(beta * gaps, 700.0)))
+
+
+def out_of_place_cumulants(beta, omega_start, omega_end, n):
+    delta, occupied = out_of_place_occupations(beta, omega_start, omega_end, n)
+    delta = delta[..., None]
+    mean = np.sum(delta * (occupied - 0.5), axis=-1)
+    var = np.sum(delta**2 * occupied * (1.0 - occupied), axis=-1)
+    return mean, var
+
+
+def out_of_place_sweep(beta, omega_f_grid, n_grid, at=None):
+    """(points, bin keys, bin maxima) of the region sweep as first written,
+    with a fresh cumulant call and a copy of the wanted omega_end per N."""
+    omega_start = SWEEP_OMEGA_START
+    omega_f = omega_f_grid[omega_f_grid != omega_start]
+    norm = np.abs(omega_f - omega_start) / 2.0
+    wanted = np.broadcast_to(True, (n_grid.size, omega_f.size))
+    if at is not None:
+        wanted = np.isin(np.floor(np.divide(n_grid[:, None] / norm, SWEEP_BIN_WIDTH)),
+                         np.floor(np.divide(at, SWEEP_BIN_WIDTH)))
+    cumulants = [out_of_place_cumulants(beta, omega_start, omega_f[cells], n)
+                 for n, cells in zip(n_grid, wanted) if cells.any()]
+    mean, var = np.concatenate([np.empty((2, 0)), *cumulants], axis=1)
+    n, norm, delta_f = (np.broadcast_to(grid, wanted.shape)[wanted] for grid in
+                        (n_grid[:, None], norm, delta_free_energy(beta, omega_start, omega_f)))
+    q = beta / 2.0 * var - (mean - delta_f)
+    v_inv = n / norm
+    rescaled = n * q / norm
+    keys = np.floor(np.divide(v_inv, SWEEP_BIN_WIDTH)).astype(np.int64)
+    order = np.argsort(keys)
+    bin_keys, starts = np.unique(keys[order], return_index=True)
+    return np.column_stack([v_inv, rescaled]), bin_keys, np.maximum.reduceat(rescaled[order], starts)
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+KERNEL_BETAS = [0.0, 1e-9, 0.5, 3.413, 8.0, 100.0]
+# 8 and 128 are numpy's pairwise-sum unroll and block sizes; 9 and 129 cross them
+KERNEL_NS = [1, 2, 7, 8, 9, 26, 128, 129, 200]
+# ascending, descending and flat ramps from each start, below and above beta*omega = 700
+KERNEL_RAMPS = {1.0: [0.05, 0.3, 1.0, 1.7, 19.39], 8.0: [0.4, 8.0, 11.0, 80.0]}
+
+
+class TestInPlaceKernel:
+    """The in-place kernel computes every entry by the same operations in
+    the same order as the out-of-place expressions, so it keeps their bits."""
+
+    @pytest.mark.parametrize("beta", KERNEL_BETAS)
+    def test_cumulants_and_occupations_keep_the_bits(self, beta):
+        for n in KERNEL_NS:
+            for omega_start, ends in KERNEL_RAMPS.items():
+                omega_end = np.array(ends)
+                before = omega_end.copy()
+                for actual, expected in [
+                    (incoherent_cumulants(beta, omega_start, omega_end, n),
+                     out_of_place_cumulants(beta, omega_start, omega_end, n)),
+                    (ramp_occupations(beta, omega_start, omega_end, n),
+                     out_of_place_occupations(beta, omega_start, omega_end, n)),
+                ]:
+                    for a, e in zip(actual, expected):
+                        assert_same_bits(a, e)
+                assert omega_end.tobytes() == before.tobytes()
+                for end in ends:
+                    mean, var = incoherent_cumulants(beta, omega_start, end, n)
+                    ref_mean, ref_var = out_of_place_cumulants(beta, omega_start, end, n)
+                    assert type(mean) is type(ref_mean) and type(var) is type(ref_var)
+                    assert_same_bits(mean, ref_mean)
+                    assert_same_bits(var, ref_var)
+
+    @pytest.mark.parametrize("beta", KERNEL_BETAS)
+    def test_sweep_keeps_the_bits(self, beta):
+        grids = [
+            (np.geomspace(0.05, 20.0, 200), np.arange(1, 201)),
+            (np.array([0.3, 1.0, 4.0, 0.05]), np.array([129, 1, 8, 9, 128, 7])),
+        ]
+        for omega_f_grid, n_grid in grids:
+            for at in (None, [2.828, 4.243, 5.657, 7.071, 8.845, 9.899, 26772.0, 1e6]):
+                result = incoherent_region_sweep(beta, omega_f_grid, n_grid, at=at)
+                points, bin_keys, bin_maxima = out_of_place_sweep(beta, omega_f_grid, n_grid, at)
+                assert_same_bits(result.points, points)
+                assert_same_bits(result.bin_keys, bin_keys)
+                assert_same_bits(result.bin_maxima, bin_maxima)
+
+    def test_step_table_keeps_fresh_occupations(self):
+        """``step_table``'s incoherent occupations carry the reference's bits,
+        and the public ramp law hands out a fresh array per call, which a
+        later call leaves alone."""
+        for omega_end in (19.39, 0.3, 1.0):
+            spec = ProtocolSpec(INCOHERENT, 26, EXPERIMENT, 1.0, omega_end)
+            table = step_table(spec)
+            _, excited = out_of_place_occupations(3.413, 1.0, omega_end, 26)
+            assert_same_bits(table.probs[:, 1, 1], excited)
+            assert_same_bits(table.probs[:, 0, 0], 1.0 - excited)
+            step_table(ProtocolSpec(INCOHERENT, 26, EXPERIMENT, 1.0, 2.0))
+            assert_same_bits(table.probs[:, 1, 1], excited)
+        first = ramp_occupations(3.413, 1.0, 2.0, 5)[1]
+        second = ramp_occupations(3.413, 1.0, 2.0, 5)[1]
+        assert not np.shares_memory(first, second)
+
+    def test_concurrent_sweeps_match_serial_ones(self):
+        """Each call owns its scratch arrays: sweeps at beta = 3.413 and 1.0
+        running at once, on more threads than cores, return the serial
+        results bit for bit."""
+        betas = (3.413, 1.0, 3.413, 1.0)
+        serial = {beta: incoherent_region_sweep(beta) for beta in set(betas)}
+        barrier = threading.Barrier(len(betas), timeout=60)
+        results = [[] for _ in betas]
+
+        def run(beta, out):
+            barrier.wait()
+            for _ in range(3):
+                out.append(incoherent_region_sweep(beta))
+
+        threads = [threading.Thread(target=run, args=args) for args in zip(betas, results)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for beta, out in zip(betas, results):
+            assert len(out) == 3
+            for result in out:
+                assert_same_bits(result.points, serial[beta].points)
+                assert_same_bits(result.bin_keys, serial[beta].bin_keys)
+                assert_same_bits(result.bin_maxima, serial[beta].bin_maxima)
+
+    def test_rejects_non_positive_step_counts(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            incoherent_region_sweep(3.413, omega_f_grid=np.array([2.0]), n_grid=[3, 0])
 
 
 class TestScalingTrichotomy:

@@ -1,6 +1,7 @@
 """Table emission round trips and the work-samples file format."""
 
 import json
+import math
 import string
 import tempfile
 import tracemalloc
@@ -43,6 +44,37 @@ def tables(draw):
     return fieldnames, rows
 
 
+# special floats drawn on purpose: nan, infinities, signed zero, subnormals
+SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072e-308])
+# columns of one type each: those the commands write, and numpy scalars a library caller may pass
+COLUMN_CELLS = [
+    st.floats() | SPECIAL_FLOATS,
+    (st.floats() | SPECIAL_FLOATS).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    CELL_TEXT,
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+]
+
+
+@st.composite
+def homogeneous_tables(draw):
+    """Tables whose every column holds values of one type."""
+    fieldnames = draw(st.lists(st.text(string.ascii_lowercase + "_", min_size=1),
+                               min_size=1, max_size=5, unique=True))
+    cells = {name: draw(st.sampled_from(COLUMN_CELLS)) for name in fieldnames}
+    rows = draw(st.lists(st.fixed_dictionaries(cells), max_size=20))
+    return fieldnames, rows
+
+
+def _row_at_a_time(fieldnames, rows) -> str:
+    """The CSV text rendered one cell at a time by ``format_value``."""
+    return ",".join(fieldnames) + "\n" + "".join(
+        ",".join(format_value(row[name]) for name in fieldnames) + "\n" for row in rows
+    )
+
+
 @st.composite
 def sample_setups(draw):
     thermal = ThermalSpec.from_beta(draw(st.floats(0.0, 10.0)))
@@ -72,16 +104,14 @@ def _per_row_rendering(samples) -> str:
 
 
 class TestTables:
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(table=tables())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(table=tables() | homogeneous_tables())
     def test_csv_round_trip_is_the_identity(self, table):
+        """Mixed columns take the per-cell path, one-type columns the
+        whole-column one; both render as one cell at a time would."""
         fieldnames, rows = table
         text = render_csv(fieldnames, rows)
-        # the row-at-a-time rendering
-        reference = ",".join(fieldnames) + "\n" + "".join(
-            ",".join(format_value(row[name]) for name in fieldnames) + "\n" for row in rows
-        )
-        assert text == reference
+        assert text == _row_at_a_time(fieldnames, rows)
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "table.csv"
             path.write_text(text)
@@ -98,6 +128,18 @@ class TestTables:
         text = render_json(rows)
         assert json.loads(text) == rows
         assert render_json(json.loads(text)) == text
+
+    def test_zero_rows_render_the_header_alone(self):
+        assert render_csv(["a", "b_c"], []) == "a,b_c\n" == _row_at_a_time(["a", "b_c"], [])
+        # rows without columns print no lines
+        assert render_csv([], [{}, {}]) == "\n"
+
+    def test_special_floats_in_float_columns(self):
+        values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072e-308, 0.1]
+        rows = [{"x": x, "y": np.float64(x), "label": "s"} for x in values]
+        text = render_csv(["x", "y", "label"], rows)
+        assert text == _row_at_a_time(["x", "y", "label"], rows)
+        assert text.splitlines()[1:5] == ["nan,nan,s", "inf,inf,s", "-inf,-inf,s", "-0,-0,s"]
 
     def test_bools_and_numpy_scalars(self):
         rows = [{"pass": True, "n": np.int64(3), "x": np.float64(0.1), "y": np.float32(0.5),
