@@ -35,9 +35,9 @@ from .protocol import (
     INCOHERENT,
     ProtocolSpec,
     SpamModel,
-    _ramp_occupations_into,
     apply_spam,
     coherent_step_table,
+    ramp_occupations,
 )
 from .qubit import ThermalSpec
 
@@ -168,23 +168,14 @@ def incoherent_cumulants(
         <W> = sum_j delta (f_j - 1/2),   Var(W) = sum_j (delta^2 f_j) (1 - f_j),
 
     elementwise over an array ``omega_end``.  The (entries, N) terms are
-    computed in place, in two scratch arrays of the call's own, by the same
-    per-entry operations in the same order and association as the formulas
-    above.  Each entry sums its own steps along the last axis, pairwise, so
-    a scalar call and every entry of an array call give the same bits.
+    computed in place, in the occupations' fresh array and one work array,
+    by the same per-entry operations in the same order and association as
+    the formulas above.  Each entry sums its own steps along the last axis,
+    pairwise, so a scalar call and every entry of an array call give the
+    same bits.
     """
-    omega_end = np.asarray(omega_end, dtype=np.float64)
-    return _incoherent_cumulants_into(beta, omega_start, omega_end, n,
-                                      np.empty((2, omega_end.size * n)))
-
-
-def _incoherent_cumulants_into(
-    beta: float, omega_start: float, omega_end: np.ndarray, n: int, scratch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``incoherent_cumulants`` computed in the two flat float64 rows of
-    ``scratch``, each at least ``omega_end.size * n`` long."""
-    delta, occupied = _ramp_occupations_into(beta, omega_start, omega_end, n, scratch[0])
-    work = scratch[1][: occupied.size].reshape(occupied.shape)
+    delta, occupied = ramp_occupations(beta, omega_start, omega_end, n)
+    work = np.empty_like(occupied)
     delta = delta[..., None]
     np.subtract(occupied, 0.5, out=work)
     mean = np.multiply(work, delta, out=work).sum(axis=-1)
@@ -278,7 +269,7 @@ class SweepResult:
     points: np.ndarray
     bin_keys: np.ndarray
     bin_maxima: np.ndarray
-    skipped: int = 0
+    skipped: int
 
     def boundary_at(self, inverse_speed: float) -> float:
         """Supremum of the rescaled correction in the bin containing v^-1."""
@@ -338,9 +329,7 @@ def incoherent_region_sweep(
     if at is not None:
         wanted = np.isin(_bin_key(n_grid[:, None] / norm), _bin_key(at))
 
-    # one scratch pair, sized for the largest N, serves every N in turn
-    scratch = np.empty((2, omega_f.size * int(n_grid.max())))
-    cumulants = [_incoherent_cumulants_into(beta, omega_start, omega_f[cells], n, scratch)
+    cumulants = [incoherent_cumulants(beta, omega_start, omega_f[cells], n)
                  for n, cells in zip(n_grid, wanted) if cells.any()]
     mean, var = np.concatenate([np.empty((2, 0)), *cumulants], axis=1)
     # the (N, 1) and (M,) grid values of each wanted cell, N-major

@@ -38,10 +38,6 @@ EXIT_IO = 4
 SWEEP_CURVE_N = np.arange(1, 101)
 
 
-class CertificationFailure(Exception):
-    pass
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfdr",
@@ -143,8 +139,6 @@ def run_sweep(config: RunConfig) -> int:
     rows = [{"provenance": label, "v_inv": v_inv, "nq_rescaled": value}
             for label, abscissae, values in groups
             for v_inv, value in zip(abscissae.tolist(), values.tolist())]
-    if sweep.skipped:
-        print(f"sweep: skipped {sweep.skipped} degenerate grid points with no Hamiltonian change")
     _write_rows(config, rows)
     return EXIT_OK
 
@@ -187,9 +181,9 @@ def run_certify(config: RunConfig) -> int:
             f"{'pass' if row['pass'] else 'FAIL'}"
         )
     if not all(row["pass"] for row in rows):
-        raise CertificationFailure(
-            f"certification failed at the {config.threshold} sigma threshold"
-        )
+        print(f"certification failure: certification failed at the {config.threshold} sigma "
+              "threshold", file=sys.stderr)
+        return EXIT_CERTIFICATION
     return EXIT_OK
 
 
@@ -247,10 +241,6 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    return _HANDLERS[config.command](config)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
@@ -262,10 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"i/o error: {error}", file=sys.stderr)
         return EXIT_IO
     try:
-        return run(config)
-    except CertificationFailure as error:
-        print(f"certification failure: {error}", file=sys.stderr)
-        return EXIT_CERTIFICATION
+        return _HANDLERS[config.command](config)
     except OSError as error:
         print(f"i/o error: {error}", file=sys.stderr)
         return EXIT_IO

@@ -130,19 +130,9 @@ def ramp_occupations(
     the N steps, in a fresh array.
     """
     omega_end = np.asarray(omega_end, dtype=np.float64)
-    return _ramp_occupations_into(beta, omega_start, omega_end, n, np.empty(omega_end.size * n))
-
-
-def _ramp_occupations_into(
-    beta: float, omega_start: float, omega_end: np.ndarray, n: int, scratch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``ramp_occupations`` with f computed in place in the leading
-    ``omega_end.size * n`` entries of the flat float64 array ``scratch``, by
-    the per-entry operations of 1 / (1 + exp(min(beta (omega_start + delta j),
-    700))) in that order, so f has the same bits wherever it lives."""
     delta = (omega_end - omega_start) / n
-    f = scratch[: delta.size * n].reshape(*delta.shape, n)
-    np.multiply(delta[..., None], np.arange(n, dtype=np.float64), out=f)
+    # in place, in the formula's order of operations, which fixes f's bits
+    f = np.multiply(delta[..., None], np.arange(n, dtype=np.float64))
     np.add(f, omega_start, out=f)
     np.multiply(f, beta, out=f)
     np.minimum(f, 700.0, out=f)

@@ -445,6 +445,12 @@ class TestIncoherentRegionSweep:
         assert result.skipped == 5
         assert len(result.points) + result.skipped == 5
 
+    def test_default_grid_holds_no_degenerate_ramp(self):
+        """``sweep`` runs the default grid alone, and geomspace(0.05, 20, 200)
+        holds no omega_end equal to the sweep's omega_start of 1, so the
+        command never has a degenerate cell to report."""
+        assert incoherent_region_sweep(3.413).skipped == 0
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_non_finite_or_non_positive_grid_entries(self, bad):
         with pytest.raises(ValueError, match="finite and positive"):
@@ -658,7 +664,7 @@ class TestInPlaceKernel:
         assert not np.shares_memory(first, second)
 
     def test_concurrent_sweeps_match_serial_ones(self):
-        """Each call owns its scratch arrays: sweeps at beta = 3.413 and 1.0
+        """Each call owns its arrays: sweeps at beta = 3.413 and 1.0
         running at once, on more threads than cores, return the serial
         results bit for bit."""
         betas = (3.413, 1.0, 3.413, 1.0)

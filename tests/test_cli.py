@@ -338,10 +338,12 @@ class TestCertifyCommand:
         _, rows = read_csv_table(out)
         assert [r["pass"] for r in rows].count("false") == 1
 
-    def test_unreachable_threshold_fails_with_exit_3(self, tmp_path):
+    def test_unreachable_threshold_fails_with_exit_3(self, tmp_path, capsys):
         out = tmp_path / "certify.csv"
         code = main(["certify", "--threshold", "25.0", "--output", str(out)])
         assert code == 3
+        assert capsys.readouterr().err == (
+            "certification failure: certification failed at the 25.0 sigma threshold\n")
         _, rows = read_csv_table(out)  # the table is still written
         assert any(row["pass"] == "false" for row in rows)
 

@@ -1,7 +1,9 @@
 """Source hygiene of the package, checked with the standard-library ``ast``:
 no unused import, no unreferenced module-level name, no defaulted parameter
-that no call passes, an ``__all__`` whose every entry resolves, and no
-definition that neither a command nor a listed outside entry point reaches.
+that no call passes, an ``__all__`` whose every entry resolves, no
+definition that neither a command nor a listed outside entry point reaches,
+no private name read across modules, and the names and parameters that the
+benchmark's tracer looks up.
 Public names and parameters count as used when the package, its tests or the
 benchmark harness read or pass them."""
 
@@ -166,3 +168,67 @@ def test_every_definition_is_reached_from_a_command():
     reached = _reach(roots | ENTRY_POINTS)
     unreached = [label for label, name, _ in DEFINITIONS if name not in reached]
     assert not unreached, f"defined but reached by no command or entry point: {unreached}"
+
+
+# Private names that one module of the package imports from another, each
+# with its reason.
+PRIVATE_IMPORTS = {
+    ("io.py", "_BLOCK_RUNS"),  # sample files are written in the sampler's blocks
+}
+
+
+def test_no_private_name_crosses_modules():
+    crossing = set()
+    for name, tree in SOURCES.items():
+        modules = {bound for bound, node in imported(tree) if isinstance(node, ast.Import)
+                   or (getattr(node, "level", 0) > 0 and node.module is None)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                crossing |= {(name, alias.name) for alias in node.names
+                             if alias.name.startswith("_") and not _dunder(alias.name)}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")
+                  and not _dunder(node.attr)):
+                crossing.add((name, node.attr))
+    assert crossing == PRIVATE_IMPORTS, f"private names read across modules: {sorted(crossing)}"
+
+
+def _argument_keys(fn):
+    """Keys under which a counter (a lambda or a function) subscripts its
+    first parameter, the call's bound arguments."""
+    first = fn.args.args[0].arg
+    return {node.slice.value for node in ast.walk(fn)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == first and isinstance(node.slice, ast.Constant)}
+
+
+def test_benchmark_tracing_contract_holds():
+    """``perfbench/tracing.py`` wraps each ``LAYERS`` function, found by module
+    and name, and its counters read the call's bound arguments by parameter
+    name: a function or parameter renamed here would crash the benchmark's
+    traced run, which tier-1 runs only in part."""
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    helpers = {node.name: node for node in tracing.body if isinstance(node, ast.FunctionDef)}
+    layers = next(node.value for node in tracing.body if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "LAYERS")
+    broken, read = [], set()
+    for layer, counters in zip(layers.keys, layers.values):
+        module, function = layer.value.split(".")
+        defined = {node.name: node for node in SOURCES[f"{module}.py"].body
+                   if isinstance(node, ast.FunctionDef)}
+        if function not in defined:
+            broken.append(f"{layer.value}: no such function")
+            continue
+        args = defined[function].args
+        parameters = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
+        for count, counter in zip(counters.keys, counters.values):
+            if isinstance(counter, ast.Name):
+                counter = helpers[counter.id]
+            assert isinstance(counter, (ast.Lambda, ast.FunctionDef)), \
+                f"{layer.value}.{count.value}: counter not read"
+            keys = _argument_keys(counter)
+            read |= keys
+            broken += [f"{layer.value}.{count.value}: no parameter {key!r}"
+                       for key in sorted(keys - parameters)]
+    assert layers.keys and read, "LAYERS not read"
+    assert not broken, f"tracing contract broken: {broken}"
