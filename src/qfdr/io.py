@@ -123,7 +123,10 @@ def read_samples(path: Path) -> WorkSampleSet:
     Header keys are read from the leading block of ``# key=value`` lines only,
     up to the column-name line.  The data rows are parsed by numpy's C reader,
     which skips blank and ``#`` lines among them; a total that is not a
-    number raises ``ValueError``.
+    number raises ``ValueError``.  So does a truncated or padded file, whose
+    data rows differ in number from the header's ``runs``, and a count vector
+    (``first_excited_counts``, ``flip_counts``) without one entry per step:
+    the header's counts are over all the runs it names.
     """
     header: dict[str, str] = {}
     consumed = 0
@@ -155,7 +158,12 @@ def read_samples(path: Path) -> WorkSampleSet:
         )
     totals = np.loadtxt(path, delimiter=",", comments="#", usecols=column,
                         skiprows=consumed, ndmin=1)
+    if totals.size != int(header["runs"]):
+        raise ValueError(f"{path}: {totals.size} data rows, header says runs={header['runs']}")
     counts = {key: np.array(header[key].split(","), dtype=np.int64)
               for key in ("first_excited_counts", "flip_counts")}
+    for key, count in counts.items():
+        if count.size != spec.n_steps:
+            raise ValueError(f"{path}: {key} has {count.size} entries, n_steps={spec.n_steps}")
     return WorkSampleSet.from_totals(totals, **counts, seed=int(header["seed"]),
                                      spec=spec, spam=spam)

@@ -288,6 +288,9 @@ class WorkSampleSet:
 
     Run r's total is ``levels[codes[r]]``: ``levels`` are the distinct grid totals of
     ``StepTable.total_work`` in ascending order, ``codes`` the narrowest unsigned integers.
+    ``from_totals`` finds the levels by value alone (numpy >= 2.3 hashes the runs and
+    sorts only the few distinct totals) and codes each run by one binary search
+    over the levels, so the runs themselves are never sorted.
     ``first_excited_counts[j]`` counts excited first readouts at step j over
     all runs; ``flip_counts[j]`` counts nonzero-work outcomes at step j for
     coherent protocols and positive-work outcomes for incoherent ones.  The
@@ -306,7 +309,8 @@ class WorkSampleSet:
 
     @classmethod
     def from_totals(cls, totals: np.ndarray, **fields) -> "WorkSampleSet":
-        levels, codes = np.unique(totals, return_inverse=True)
+        levels = np.unique(totals)
+        codes = np.searchsorted(levels, totals)
         return cls(levels, codes.astype(np.min_scalar_type(levels.size)), **fields)
 
     @property

@@ -22,7 +22,14 @@ from qfdr.io import (
     render_json,
     write_samples,
 )
-from qfdr.protocol import COHERENT, INCOHERENT, ProtocolSpec, SpamModel, sample_work
+from qfdr.protocol import (
+    COHERENT,
+    INCOHERENT,
+    ProtocolSpec,
+    SpamModel,
+    WorkSampleSet,
+    sample_work,
+)
 from qfdr.qubit import ThermalSpec
 
 # cell text that survives a CSV line: no comma, no line break, no leading '#'
@@ -192,6 +199,30 @@ class TestSamplesFile:
             tracemalloc.stop()
         assert peak <= 3e6, f"traced peak {peak / 1e6:.1f} MB"
 
+    @pytest.mark.parametrize("reader, bound", [("from_totals", 1.5e6), ("read_samples", 2.5e6)])
+    def test_coding_memory_is_bounded(self, tmp_path, reader, bound):
+        """Coding 100k totals, alone and behind the reader, sorts no copy of
+        the runs: traced peaks 1.0 and 1.9 MB, against 4.1 and 5.0 MB when
+        ``np.unique`` also returns the inverse."""
+        spec = ProtocolSpec(COHERENT, 10, ThermalSpec.from_beta(3.413))
+        samples = sample_work(spec, None, runs=100_000, seed=0)
+        path = tmp_path / "samples.csv"
+        write_samples(path, samples)
+        totals = samples.totals
+        calls = {
+            "from_totals": lambda: WorkSampleSet.from_totals(
+                totals, first_excited_counts=samples.first_excited_counts,
+                flip_counts=samples.flip_counts, seed=0, spec=spec),
+            "read_samples": lambda: read_samples(path),
+        }
+        tracemalloc.start()
+        try:
+            calls[reader]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"traced peak {peak / 1e6:.2f} MB"
+
 
 def _crlf(header, columns, rows):
     return "\r\n".join([*header, columns, *rows]) + "\r\n"
@@ -251,6 +282,23 @@ class TestSamplesFileFormat:
         lines[-2] = lines[-2].split(",")[0] + ",abc"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
+            read_samples(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:-20], "30 data rows, header says runs=50"),
+        (lambda lines: lines + lines[-3:], "53 data rows, header says runs=50"),
+        (lambda lines: [line.rpartition(",")[0] if line.startswith("# first_excited_counts=")
+                        else line for line in lines], "first_excited_counts has 2 entries"),
+        (lambda lines: [line + ",0" if line.startswith("# flip_counts=")
+                        else line for line in lines], "flip_counts has 4 entries"),
+    ], ids=["truncated", "padded", "short-first-excited", "long-flips"])
+    def test_inconsistent_file_rejected(self, tmp_path, edit, message):
+        """The header's counts are over all the runs it names, so a file whose
+        rows or count vectors disagree with it would bias the estimate."""
+        path = tmp_path / "samples.csv"
+        self._write_plain(path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=message):
             read_samples(path)
 
     def test_file_without_column_line_rejected(self, tmp_path):

@@ -451,6 +451,57 @@ class TestSampleWork:
             sample_work(ProtocolSpec(COHERENT, 2, EXPERIMENT), None, runs=0, seed=1)
 
 
+def sorted_coding(totals):
+    """Levels and codes by one sort of all the runs: the reference for ``from_totals``."""
+    levels, codes = np.unique(totals, return_inverse=True)
+    return levels, codes.astype(np.min_scalar_type(levels.size))
+
+
+@st.composite
+def grid_totals(draw):
+    """Run totals N w0 + i d on the run-law grid, d of either sign (a descending
+    incoherent ramp has d < 0), with special values mixed in."""
+    n = draw(st.integers(1, 600))
+    w0 = draw(st.floats(-10.0, 10.0))
+    d = draw(st.floats(1e-3, 10.0) | st.floats(-10.0, -1e-3))
+    width = draw(st.sampled_from([1, n + 1]))  # one level, or the whole grid
+    steps = st.integers(0, width - 1)
+    i = draw(st.lists(steps, min_size=1, max_size=1000) | st.permutations(range(width)))
+    specials = draw(st.lists(st.tuples(st.integers(0, len(i)),
+                                        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])),
+                             max_size=4))
+    totals = list(n * w0 + np.array(i) * d)
+    for at, value in specials:
+        totals.insert(at, value)
+    return np.array(totals)
+
+
+class TestFromTotals:
+    @given(grid_totals())
+    @example(np.array([0.75]))                                   # one run
+    @example(np.full(40, -2.5))                                  # one level
+    @example(10 * 0.5 - np.arange(300.0) * 0.125)                # > 255 levels: uint16 codes
+    # nan, infinities and both zeros: the sort keeps -0.0 here, the hash +0.0
+    @example(np.array([1.0, math.nan, -math.inf, math.nan, 2.0, math.inf, 1.0, -0.0, 0.0, 0.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_codes_match_the_sorted_coding(self, totals):
+        samples = WorkSampleSet.from_totals(totals, first_excited_counts=np.zeros(1),
+                                            flip_counts=np.zeros(1), seed=0,
+                                            spec=ProtocolSpec(COHERENT, 1, EXPERIMENT))
+        levels, codes = sorted_coding(totals)
+        np.testing.assert_array_equal(samples.codes, codes)
+        assert samples.codes.dtype == codes.dtype
+        zeros = np.signbit(totals[totals == 0.0])
+        if zeros.any() and not zeros.all():
+            # -0.0 and +0.0 are one level, and each coding keeps one of the two
+            # zeros for it (the sort whichever its quicksort leaves first), so
+            # only the level's value is the same.  Neither the sampler nor the
+            # samples writer makes a -0.0 total.
+            np.testing.assert_array_equal(samples.levels, levels)
+        else:
+            assert samples.levels.tobytes() == levels.tobytes()
+
+
 class TestStreamGolden:
     """The sampling stream and the samples-file bytes, pinned end to end.
 
