@@ -245,14 +245,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         config = load_config(argv)
+        return _HANDLERS[config.command](config)
     except ConfigError as error:
         print(f"configuration error: {error}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as error:
-        print(f"i/o error: {error}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        return _HANDLERS[config.command](config)
     except OSError as error:
         print(f"i/o error: {error}", file=sys.stderr)
         return EXIT_IO

@@ -22,11 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocol import _BLOCK_RUNS, ProtocolSpec, SpamModel, WorkSampleSet
+from .protocol import ProtocolSpec, SpamModel, WorkSampleSet
 from .qubit import ThermalSpec
 
 # the one text of a float: 17 significant digits, round-trip exact
 _FLOAT = "%.17g"
+
+# sample-file rows formatted per write: caps the text held at once
+_BLOCK_ROWS = 4096
 
 
 def format_value(value) -> str:
@@ -88,11 +91,15 @@ def read_csv_table(path: Path) -> tuple[list[str], list[dict]]:
 
 
 SAMPLES_FIELDS = ["run_index", "total_work"]
+# header keys of every samples file; spam_bright and spam_dark come as a pair
+_HEADER_KEYS = {"kind", "n_steps", "beta", "omega_start", "omega_end", "runs", "seed",
+                "first_excited_counts", "flip_counts"}
+_SPAM_KEYS = {"spam_bright", "spam_dark"}
 
 
 def write_samples(path: Path, samples: WorkSampleSet) -> None:
     """One total per row, preceded by a comment header carrying the setup.
-    Rows are written ``_BLOCK_RUNS`` at a time, never the whole text at once."""
+    Rows are written ``_BLOCK_ROWS`` at a time, never the whole text at once."""
     spec = samples.spec
     header = {
         "kind": spec.kind,
@@ -112,8 +119,8 @@ def write_samples(path: Path, samples: WorkSampleSet) -> None:
     with open(path, "w") as handle:
         handle.writelines(f"# {key}={format_value(value)}\n" for key, value in header.items())
         handle.write(",".join(SAMPLES_FIELDS) + "\n")
-        for start in range(0, samples.runs, _BLOCK_RUNS):
-            codes = samples.codes[start : start + _BLOCK_RUNS].tolist()
+        for start in range(0, samples.runs, _BLOCK_ROWS):
+            codes = samples.codes[start : start + _BLOCK_ROWS].tolist()
             handle.write("".join([f"{i},{level_text[c]}\n" for i, c in enumerate(codes, start)]))
 
 
@@ -123,10 +130,12 @@ def read_samples(path: Path) -> WorkSampleSet:
     Header keys are read from the leading block of ``# key=value`` lines only,
     up to the column-name line.  The data rows are parsed by numpy's C reader,
     which skips blank and ``#`` lines among them; a total that is not a
-    number raises ``ValueError``.  So does a truncated or padded file, whose
-    data rows differ in number from the header's ``runs``, and a count vector
-    (``first_excited_counts``, ``flip_counts``) without one entry per step:
-    the header's counts are over all the runs it names.
+    number raises ``ValueError``.  So does a header that lacks a key or has
+    one of ``spam_bright`` and ``spam_dark`` without the other, a truncated
+    or padded file, whose data rows differ in number from the header's
+    ``runs``, and a count vector (``first_excited_counts``, ``flip_counts``)
+    without one entry per step: the header's counts are over all the runs it
+    names.
     """
     header: dict[str, str] = {}
     consumed = 0
@@ -142,6 +151,9 @@ def read_samples(path: Path) -> WorkSampleSet:
                 break
         else:
             raise ValueError(f"{path}: no column-name line")
+    required = _HEADER_KEYS | _SPAM_KEYS if _SPAM_KEYS & header.keys() else _HEADER_KEYS
+    if missing := sorted(required - header.keys()):
+        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
     thermal = ThermalSpec.from_beta(float(header["beta"]))
     spec = ProtocolSpec(
         kind=header["kind"],

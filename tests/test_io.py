@@ -301,6 +301,18 @@ class TestSamplesFileFormat:
         with pytest.raises(ValueError, match=message):
             read_samples(path)
 
+    @pytest.mark.parametrize("key", ["kind", "n_steps", "beta", "omega_start", "omega_end", "runs",
+                                     "seed", "first_excited_counts", "flip_counts", "spam_dark"])
+    def test_header_without_key_rejected(self, tmp_path, key):
+        """A malformed header raises ``ValueError`` like any malformed file;
+        without ``spam_dark`` the file keeps a lone ``spam_bright``."""
+        path = tmp_path / "samples.csv"
+        self._write_plain(path)
+        path.write_text("\n".join(line for line in path.read_text().splitlines()
+                                  if not line.startswith(f"# {key}=")) + "\n")
+        with pytest.raises(ValueError, match=f"header lacks {key}$"):
+            read_samples(path)
+
     def test_file_without_column_line_rejected(self, tmp_path):
         path = tmp_path / "samples.csv"
         self._write_plain(path)

@@ -1,14 +1,21 @@
 """Source hygiene of the package, checked with the standard-library ``ast``:
 no unused import, no unreferenced module-level name, no defaulted parameter
-that no call passes, an ``__all__`` whose every entry resolves, no
-definition that neither a command nor a listed outside entry point reaches,
-no private name read across modules, and the names and parameters that the
-benchmark's tracer looks up.
+that no call passes, a package ``__init__`` that imports nothing and binds
+only ``__version__``, no definition that neither a command nor a listed
+outside entry point reaches, no private name read across modules, and the
+names and parameters that the benchmark's tracer looks up; and, run in fresh
+interpreters, every module importable alone.
 Public names and parameters count as used when the package, its tests or the
 benchmark harness read or pass them."""
 
 import ast
+import os
+import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import qfdr
 
@@ -46,7 +53,7 @@ def imported(tree):
 
 def test_every_import_is_used():
     for name, tree in SOURCES.items():
-        used = loaded_names(tree) | (set(qfdr.__all__) if name == "__init__.py" else set())
+        used = loaded_names(tree)
         unused = sorted(bound for bound, _ in imported(tree) if bound not in used)
         assert not unused, f"{name} imports {unused} and never uses them"
 
@@ -101,9 +108,20 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert not never, f"defaulted parameters that no call passes: {never}"
 
 
-def test_all_entries_resolve():
-    missing = [name for name in qfdr.__all__ if not hasattr(qfdr, name)]
-    assert not missing and len(set(qfdr.__all__)) == len(qfdr.__all__)
+def test_package_binds_only_its_version():
+    """Callers import each name from the module that defines it, so the
+    package re-exports nothing."""
+    tree = SOURCES["__init__.py"]
+    assert not list(imported(tree)), "qfdr/__init__.py imports"
+    assert {name for name in module_level_names(tree) if name} == {"__version__"}
+
+
+@pytest.mark.parametrize("module", sorted(info.name for info in pkgutil.iter_modules(qfdr.__path__)))
+def test_module_imports_alone(module):
+    """Each module imports in a fresh interpreter, so none relies on another
+    having been imported first."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qfdr.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", f"import qfdr.{module}"], env=env, check=True, timeout=60)
 
 
 # Definitions that no command reaches but that code outside the package calls,
@@ -170,13 +188,6 @@ def test_every_definition_is_reached_from_a_command():
     assert not unreached, f"defined but reached by no command or entry point: {unreached}"
 
 
-# Private names that one module of the package imports from another, each
-# with its reason.
-PRIVATE_IMPORTS = {
-    ("io.py", "_BLOCK_RUNS"),  # sample files are written in the sampler's blocks
-}
-
-
 def test_no_private_name_crosses_modules():
     crossing = set()
     for name, tree in SOURCES.items():
@@ -190,7 +201,7 @@ def test_no_private_name_crosses_modules():
                   and node.value.id in modules and node.attr.startswith("_")
                   and not _dunder(node.attr)):
                 crossing.add((name, node.attr))
-    assert crossing == PRIVATE_IMPORTS, f"private names read across modules: {sorted(crossing)}"
+    assert not crossing, f"private names read across modules: {sorted(crossing)}"
 
 
 def _argument_keys(fn):
