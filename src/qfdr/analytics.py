@@ -9,7 +9,8 @@ protocol the exact finite-N expression is
 
     Q = N s [ (beta/2) (1 - s (1-2p)^2) - (1-2p) ],   s = sin^2(pi/(4N)),
 
-which grows to the positive asymptote (pi^2/16)(beta/2 - tanh(beta/2)) for
+with s the Rabi law ``qubit.flip_probability`` of the step angle pi/(2N).
+Q grows to the positive asymptote (pi^2/16)(beta/2 - tanh(beta/2)) for
 N -> inf.  Incoherent ramps produce a correction that decays as 1/N^2 at
 fixed endpoints, and readout errors alone produce a spurious correction that
 grows linearly in N.  All three scalings are exposed here, together with the
@@ -39,7 +40,7 @@ from .protocol import (
     coherent_step_table,
     ramp_occupations,
 )
-from .qubit import ThermalSpec
+from .qubit import ThermalSpec, flip_probability
 
 ANALYTIC = "analytic"
 MONTE_CARLO = "monte_carlo"
@@ -96,23 +97,6 @@ def make_estimate(
     )
 
 
-def coherent_cumulants(spec: ProtocolSpec) -> tuple[float, float]:
-    """Mean and variance of the total work of the coherent protocol.
-
-    <W>     = N (1-2p) s
-    Var(W)  = N s (1 - s (1-2p)^2)
-
-    with s = sin^2(pi/(4N)).  Equal to the moment sums of the exact step
-    table because the steps are independent and identically distributed.
-    """
-    if spec.kind != COHERENT:
-        raise ValueError("coherent_cumulants requires a coherent spec")
-    n = spec.n_steps
-    t = 1.0 - 2.0 * spec.thermal.population
-    s = math.sin(math.pi / (4.0 * n)) ** 2
-    return n * t * s, n * s * (1.0 - s * t * t)
-
-
 def delta_free_energy(
     beta: float, omega_start: float, omega_end: float | np.ndarray
 ) -> float | np.ndarray:
@@ -135,13 +119,22 @@ def delta_free_energy(
 
 
 def quantum_correction(spec: ProtocolSpec) -> FdrEstimate:
-    """Exact finite-N correction of the coherent protocol (dF = 0)."""
+    """Exact finite-N correction of the coherent protocol (dF = 0).
+
+    With the flip probability s = sin^2(pi/(4N)) of the step angle, the
+    work cumulants <W> = N (1-2p) s and Var(W) = N s (1 - s (1-2p)^2) are
+    the moment sums of the exact step table, whose steps are independent
+    and identically distributed.  Q is zero at beta = 0, monotone
+    non-decreasing in beta for N >= 2, and cubic for small beta:
+    Q = N s (1/24 - s/8) beta^3 + O(beta^5).
+    """
     if spec.kind != COHERENT:
         raise ValueError("quantum_correction requires a coherent spec")
-    mean, var = coherent_cumulants(spec)
+    n, s = spec.n_steps, flip_probability(spec.step_angle)
+    t = 1.0 - 2.0 * spec.thermal.population
     return make_estimate(
-        mean_work=mean,
-        var_work=var,
+        mean_work=n * t * s,
+        var_work=n * s * (1.0 - s * t * t),
         beta=spec.thermal.beta,
         delta_f=0.0,
         n_steps=spec.n_steps,
@@ -237,19 +230,6 @@ def spam_correction(
         norm_dh=COHERENT_NORM_DH,
         source=ANALYTIC,
     )
-
-
-def temperature_profile(n_steps: int, betas: list[float]) -> list[FdrEstimate]:
-    """Coherent correction across inverse temperatures at fixed step count.
-
-    Zero at beta = 0 and monotone non-decreasing in beta for n_steps >= 2.
-    The small-beta behaviour is cubic: Q = N s (1/24 - s/8) beta^3 + O(beta^5).
-    """
-    estimates = []
-    for beta in betas:
-        spec = ProtocolSpec(COHERENT, n_steps, ThermalSpec.from_beta(beta))
-        estimates.append(quantum_correction(spec))
-    return estimates
 
 
 def _bin_key(v_inv: float | np.ndarray) -> float | np.ndarray:

@@ -12,7 +12,6 @@ default output file is named after it.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import fields
@@ -25,7 +24,7 @@ from . import analytics, stats
 from .config import COMMANDS, ConfigError, RunConfig, build_config, parse_document
 from .io import write_samples, write_table
 from .protocol import COHERENT, COHERENT_NORM_DH, INCOHERENT, ProtocolSpec, SpamModel, sample_work
-from .qubit import ThermalSpec
+from .qubit import ThermalSpec, flip_probability
 from .reference import load_reference_points
 
 OUTPUT_DIR_ENV = "QFDR_OUTPUT_DIR"
@@ -188,9 +187,12 @@ def run_certify(config: RunConfig) -> int:
 
 
 def run_temperature_profile(config: RunConfig) -> int:
+    """The coherent correction at each (N, beta), N-major."""
     rows = []
     for n in config.n_steps:
-        for estimate in analytics.temperature_profile(n, config.betas):
+        for beta in config.betas:
+            estimate = analytics.quantum_correction(
+                ProtocolSpec(COHERENT, n, ThermalSpec.from_beta(beta)))
             rows.append({"n_steps": n, "beta": estimate.beta, "q_value": estimate.q_value,
                          "nq_rescaled": estimate.rescaled})
     _write_rows(config, rows)
@@ -201,9 +203,10 @@ def run_calibrate(config: RunConfig) -> int:
     """Synthetic rotation-time calibration round trip.
 
     With unit Rabi frequency the true duration for a target angle theta is
-    t = theta.  Bright probabilities are sampled binomially at closely spaced
-    durations around the target and the fitted duration is recovered by the
-    linear-regression calibration.
+    t = theta.  Bright counts are drawn binomially from the Rabi law
+    ``flip_probability(t)`` at closely spaced durations around the target,
+    and the linear-regression calibration, aimed at the same law, recovers
+    the fitted duration.
     """
     rng = Generator(Philox(key=config.seed))
     true_duration = config.target_theta
@@ -211,8 +214,7 @@ def run_calibrate(config: RunConfig) -> int:
     durations = np.linspace(true_duration - window, true_duration + window, 5)
     samples = []
     for t in durations:
-        probability = math.sin(t / 2.0) ** 2
-        observed = rng.binomial(config.shots, probability) / config.shots
+        observed = rng.binomial(config.shots, flip_probability(t)) / config.shots
         samples.append((float(t), float(observed)))
     fitted = stats.calibrate_rotation_time(samples, config.target_theta)
     rows = [

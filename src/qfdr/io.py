@@ -129,8 +129,10 @@ def read_samples(path: Path) -> WorkSampleSet:
 
     Header keys are read from the leading block of ``# key=value`` lines only,
     up to the column-name line.  The data rows are parsed by numpy's C reader,
-    which skips blank and ``#`` lines among them; a total that is not a
-    number raises ``ValueError``.  So does a header that lacks a key or has
+    which skips blank and ``#`` lines among them.  Every malformed file raises
+    ``ValueError`` with the path in front of its message: a column-name line
+    without ``total_work``, a total that is not a number, a header value that
+    does not parse or describes no protocol, a header that lacks a key or has
     one of ``spam_bright`` and ``spam_dark`` without the other, a truncated
     or padded file, whose data rows differ in number from the header's
     ``runs``, and a count vector (``first_excited_counts``, ``flip_counts``)
@@ -139,43 +141,42 @@ def read_samples(path: Path) -> WorkSampleSet:
     """
     header: dict[str, str] = {}
     consumed = 0
-    with open(path) as handle:
-        for line in handle:
-            consumed += 1
-            line = line.rstrip("\n")
-            if line.startswith("# ") and "=" in line:
-                key, _, value = line[2:].partition("=")
-                header[key] = value
-            elif line and not line.startswith("#"):
-                column = line.split(",").index("total_work")
-                break
-        else:
-            raise ValueError(f"{path}: no column-name line")
-    required = _HEADER_KEYS | _SPAM_KEYS if _SPAM_KEYS & header.keys() else _HEADER_KEYS
-    if missing := sorted(required - header.keys()):
-        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
-    thermal = ThermalSpec.from_beta(float(header["beta"]))
-    spec = ProtocolSpec(
-        kind=header["kind"],
-        n_steps=int(header["n_steps"]),
-        thermal=thermal,
-        omega_start=float(header["omega_start"]),
-        omega_end=float(header["omega_end"]),
-    )
-    spam = None
-    if "spam_bright" in header:
-        spam = SpamModel(
-            p_bright_given_0=float(header["spam_bright"]),
-            p_dark_given_1=float(header["spam_dark"]),
+    try:
+        with open(path) as handle:
+            for line in handle:
+                consumed += 1
+                line = line.rstrip("\n")
+                if line.startswith("# ") and "=" in line:
+                    key, _, value = line[2:].partition("=")
+                    header[key] = value
+                elif line and not line.startswith("#"):
+                    column = line.split(",").index("total_work")
+                    break
+            else:
+                raise ValueError("no column-name line")
+        required = _HEADER_KEYS | _SPAM_KEYS if _SPAM_KEYS & header.keys() else _HEADER_KEYS
+        if missing := sorted(required - header.keys()):
+            raise ValueError(f"header lacks {', '.join(missing)}")
+        spec = ProtocolSpec(
+            kind=header["kind"],
+            n_steps=int(header["n_steps"]),
+            thermal=ThermalSpec.from_beta(float(header["beta"])),
+            omega_start=float(header["omega_start"]),
+            omega_end=float(header["omega_end"]),
         )
-    totals = np.loadtxt(path, delimiter=",", comments="#", usecols=column,
-                        skiprows=consumed, ndmin=1)
-    if totals.size != int(header["runs"]):
-        raise ValueError(f"{path}: {totals.size} data rows, header says runs={header['runs']}")
-    counts = {key: np.array(header[key].split(","), dtype=np.int64)
-              for key in ("first_excited_counts", "flip_counts")}
-    for key, count in counts.items():
-        if count.size != spec.n_steps:
-            raise ValueError(f"{path}: {key} has {count.size} entries, n_steps={spec.n_steps}")
-    return WorkSampleSet.from_totals(totals, **counts, seed=int(header["seed"]),
-                                     spec=spec, spam=spam)
+        spam = None if "spam_bright" not in header else SpamModel(
+            p_bright_given_0=float(header["spam_bright"]),
+            p_dark_given_1=float(header["spam_dark"]))
+        totals = np.loadtxt(path, delimiter=",", comments="#", usecols=column,
+                            skiprows=consumed, ndmin=1)
+        if totals.size != int(header["runs"]):
+            raise ValueError(f"{totals.size} data rows, header says runs={header['runs']}")
+        counts = {key: np.array(header[key].split(","), dtype=np.int64)
+                  for key in ("first_excited_counts", "flip_counts")}
+        for key, count in counts.items():
+            if count.size != spec.n_steps:
+                raise ValueError(f"{key} has {count.size} entries, n_steps={spec.n_steps}")
+        return WorkSampleSet.from_totals(totals, **counts, seed=int(header["seed"]),
+                                         spec=spec, spam=spam)
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from error

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .qubit import ThermalSpec
+from .qubit import ThermalSpec, flip_probability
 
 COHERENT = "coherent"
 INCOHERENT = "incoherent"
@@ -199,7 +199,7 @@ def coherent_step_table(p: float, s: float) -> StepTable:
 
 def coherent_step_distribution(spec: ProtocolSpec) -> StepTable:
     """One-step table of a coherent protocol: ``coherent_step_table`` at its
-    occupation and flip probability s = sin^2(pi/(4N)).
+    occupation and the flip probability s = sin^2(pi/(4N)) of its step angle.
 
     Its work marginal, ``probs[0].sum(axis=1)``, is P(w=-1) = p s,
     P(w=0) = 1 - s, P(w=+1) = (1-p) s.  Validated elsewhere against the
@@ -207,7 +207,7 @@ def coherent_step_distribution(spec: ProtocolSpec) -> StepTable:
     """
     if spec.kind != COHERENT:
         raise ValueError("coherent_step_distribution requires a coherent spec")
-    return coherent_step_table(spec.thermal.population, math.sin(spec.step_angle / 2.0) ** 2)
+    return coherent_step_table(spec.thermal.population, flip_probability(spec.step_angle))
 
 
 def apply_spam(table: StepTable, spam: SpamModel) -> StepTable:

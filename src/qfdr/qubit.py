@@ -1,9 +1,10 @@
-"""Thermal state of a driven qubit: inverse temperature and occupation.
+"""Thermal state of a driven qubit, and the Rabi law of its pulses.
 
 Energies are measured in units of the qubit gap (hbar * omega_q = 1), so the
 bare Hamiltonian is -sigma_z/2 with eigenvalues -1/2 (ground state |0>) and
 +1/2 (excited state |1>).  A Gibbs state at inverse temperature beta
-occupies the excited level with p = 1 / (1 + exp(beta)).
+occupies the excited level with p = 1 / (1 + exp(beta)).  A resonant pulse
+of area theta flips the qubit with probability sin^2(theta/2).
 """
 
 from __future__ import annotations
@@ -16,16 +17,10 @@ from dataclasses import dataclass
 BETA_CAP = 1e3
 
 
-def thermal_population(beta: float) -> float:
-    """Excited-state occupation of the Gibbs state at inverse temperature beta.
-
-    p = exp(-beta) / (1 + exp(-beta)), evaluated in the overflow-safe form.
-    Satisfies 1 - 2p = tanh(beta/2).
-    """
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
-    e = math.exp(-beta)
-    return e / (1.0 + e)
+def flip_probability(theta: float) -> float:
+    """The one Rabi law: a pulse of area theta flips the qubit with
+    probability sin^2(theta/2)."""
+    return math.sin(theta / 2.0) ** 2
 
 
 def population_to_beta(population: float) -> float:
@@ -62,5 +57,7 @@ class ThermalSpec:
 
     @property
     def population(self) -> float:
-        """Excited-state occupation, ``thermal_population(beta)``."""
-        return thermal_population(self.beta)
+        """Excited-state occupation p = exp(-beta) / (1 + exp(-beta)), in the
+        overflow-safe form."""
+        e = math.exp(-self.beta)
+        return e / (1.0 + e)

@@ -24,7 +24,7 @@ from .protocol import (
     run_distribution,
     step_table,
 )
-from .qubit import BETA_CAP, ThermalSpec, population_to_beta
+from .qubit import BETA_CAP, ThermalSpec, flip_probability, population_to_beta
 
 # excess bin-frequency spread at which drift_scan flags a drift
 DRIFT_THRESHOLD = 0.01
@@ -227,11 +227,11 @@ def calibrate_rotation_time(
 ) -> float:
     """Pulse duration reaching a target rotation angle, by linear regression.
 
-    The bright probability follows sin^2(Omega t / 2); over a narrow window
-    of durations (at most ~0.2 rad of phase) it is effectively linear, so an
-    ordinary least-squares line through the provided (duration, probability)
-    points is solved for the duration where it reaches sin^2(theta/2).
-    Callers are responsible for clustering the samples near the target.
+    The bright probability follows the Rabi law, flip_probability(Omega t);
+    over a narrow window of durations (at most ~0.2 rad of phase) it is
+    effectively linear, so an ordinary least-squares line through the given
+    (duration, probability) points is solved for the duration where it
+    reaches flip_probability(theta).  Callers keep the samples near the target.
     """
     if len(samples) < 2:
         raise ValueError("need at least two calibration samples")
@@ -242,5 +242,5 @@ def calibrate_rotation_time(
     slope, intercept = np.polyfit(durations, probabilities, 1)
     if slope == 0.0:
         raise ValueError("degenerate fit: zero slope")
-    target_probability = math.sin(target_theta / 2.0) ** 2
+    target_probability = flip_probability(target_theta)
     return float((target_probability - intercept) / slope)

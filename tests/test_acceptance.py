@@ -33,11 +33,9 @@ import numpy as np
 
 from qfdr.analytics import (
     coherent_asymptote,
-    coherent_cumulants,
     incoherent_correction,
     quantum_correction,
     spam_correction,
-    temperature_profile,
 )
 from qfdr.cli import main
 from qfdr.io import read_csv_table
@@ -184,13 +182,19 @@ def test_criterion_4_certification(tmp_path):
     assert elapsed < 60.0
 
 
+def _profile(n_steps, betas):
+    """The coherent correction at each beta, as the temperature-profile command loops it."""
+    return [quantum_correction(ProtocolSpec(COHERENT, n_steps, ThermalSpec.from_beta(beta)))
+            for beta in betas]
+
+
 def test_criterion_5_temperature_profile_shape():
     betas = [round(0.05 * k, 10) for k in range(81)]
-    profile = temperature_profile(5, betas)
+    profile = _profile(5, betas)
     zero_exact = profile[0].q_value == 0.0
     values = [e.rescaled for e in profile]
     monotone = all(b >= a for a, b in zip(values, values[1:]))
-    anchor = temperature_profile(5, [BETA])[0]
+    anchor = _profile(5, [BETA])[0]
     machinery = quantum_correction(ProtocolSpec(COHERENT, 5, EXPERIMENT))
     anchored = anchor.rescaled == machinery.rescaled
 
@@ -225,7 +229,7 @@ def test_criterion_5_high_temperature_quadratic_claim():
     """
     n_steps = 5
     betas = [0.01 * k for k in range(1, 11)]
-    profile = temperature_profile(n_steps, betas)
+    profile = _profile(n_steps, betas)
 
     oracle_gap = 0.0
     for estimate in profile:
@@ -246,7 +250,7 @@ def test_criterion_5_high_temperature_quadratic_claim():
     )
     passed = oracle_gap <= 1e-6 and relative <= 0.15 and cubic <= 0.15
     _report("criterion 5 (high-T decay)", passed, detail)
-    assert oracle_gap <= 1e-6, f"temperature_profile departs from the oracle: {detail}"
+    assert oracle_gap <= 1e-6, f"the coherent closed form departs from the oracle: {detail}"
     assert relative <= 0.15, f"Q/<W> is not quadratic in beta: {detail}"
     assert cubic <= 0.15, f"Q is not cubic in beta: {detail}"
 
@@ -279,7 +283,8 @@ def test_criterion_6_oracle_equivalence():
                 mean_ref += probability * total
                 second_ref += probability * total * total
             var_ref = second_ref - mean_ref**2
-            mean, var = coherent_cumulants(spec)
+            closed = quantum_correction(spec)
+            mean, var = closed.mean_work, closed.var_work
             worst_moments = max(worst_moments, abs(mean - mean_ref), abs(var - var_ref))
 
     detail = f"step-table deviation {worst:.2e} (<=1e-12), cumulants {worst_moments:.2e} (<=1e-10)"

@@ -20,7 +20,6 @@ from qfdr.analytics import (
     SWEEP_OMEGA_START,
     FdrEstimate,
     coherent_asymptote,
-    coherent_cumulants,
     coherent_theory_curve,
     delta_free_energy,
     incoherent_correction,
@@ -29,7 +28,6 @@ from qfdr.analytics import (
     quantum_correction,
     spam_bound_curve,
     spam_correction,
-    temperature_profile,
 )
 from qfdr.protocol import (
     COHERENT,
@@ -67,8 +65,15 @@ def enumerate_total_work_cumulants(step_laws):
 
 
 class TestCoherentCumulants:
+    """The work cumulants of ``quantum_correction``'s coherent closed form."""
+
+    @staticmethod
+    def cumulants(spec):
+        estimate = quantum_correction(spec)
+        return estimate.mean_work, estimate.var_work
+
     def test_experiment_point(self):
-        mean, var = coherent_cumulants(ProtocolSpec(COHERENT, 2, EXPERIMENT))
+        mean, var = self.cumulants(ProtocolSpec(COHERENT, 2, EXPERIMENT))
         np.testing.assert_allclose(mean, 0.27421152651749037, rtol=1e-14)
         np.testing.assert_allclose(var, 0.2552972381759263, rtol=1e-14)
         np.testing.assert_allclose(mean, 0.27418, atol=5e-5)
@@ -77,12 +82,12 @@ class TestCoherentCumulants:
     def test_infinite_temperature_mean_vanishes(self):
         hot = ThermalSpec.from_beta(0.0)
         for n in (1, 3, 17):
-            mean, _ = coherent_cumulants(ProtocolSpec(COHERENT, n, hot))
+            mean, _ = self.cumulants(ProtocolSpec(COHERENT, n, hot))
             assert mean == 0.0
 
     def test_single_cold_step(self):
         cold = ThermalSpec.from_beta(math.inf)
-        mean, var = coherent_cumulants(ProtocolSpec(COHERENT, 1, cold))
+        mean, var = self.cumulants(ProtocolSpec(COHERENT, 1, cold))
         np.testing.assert_allclose(mean, 0.5, atol=1e-14)
         np.testing.assert_allclose(var, 0.25, atol=1e-14)
 
@@ -95,7 +100,7 @@ class TestCoherentCumulants:
                 table = coherent_step_distribution(spec)
                 laws = [(table.works, table.probs[0].sum(axis=1))] * n
                 mean_ref, var_ref = enumerate_total_work_cumulants(laws)
-                mean, var = coherent_cumulants(spec)
+                mean, var = self.cumulants(spec)
                 np.testing.assert_allclose(mean, mean_ref, atol=1e-10, rtol=0.0)
                 np.testing.assert_allclose(var, var_ref, atol=1e-10, rtol=0.0)
 
@@ -103,13 +108,13 @@ class TestCoherentCumulants:
         for n in (1, 5, 23):
             spec = ProtocolSpec(COHERENT, n, EXPERIMENT)
             dist = coherent_step_distribution(spec)
-            mean, var = coherent_cumulants(spec)
+            mean, var = self.cumulants(spec)
             np.testing.assert_allclose(mean, n * dist.mean(), atol=1e-12)
             np.testing.assert_allclose(var, n * dist.variance(), atol=1e-12)
 
     def test_rejects_incoherent_spec(self):
         with pytest.raises(ValueError):
-            coherent_cumulants(ProtocolSpec(INCOHERENT, 3, EXPERIMENT, 1.0, 2.0))
+            quantum_correction(ProtocolSpec(INCOHERENT, 3, EXPERIMENT, 1.0, 2.0))
 
 
 class TestDeltaFreeEnergy:
@@ -402,17 +407,25 @@ class TestSpamCorrection:
 
 
 class TestTemperatureProfile:
+    """The coherent correction across inverse temperatures at N = 5, looped
+    over ``quantum_correction`` as the ``temperature-profile`` command does."""
+
+    @staticmethod
+    def profile(betas):
+        return [quantum_correction(ProtocolSpec(COHERENT, 5, ThermalSpec.from_beta(beta)))
+                for beta in betas]
+
     def test_zero_at_infinite_temperature(self):
-        profile = temperature_profile(5, [0.0])
+        profile = self.profile([0.0])
         assert profile[0].q_value == 0.0
 
     def test_experiment_temperature_value(self):
-        profile = temperature_profile(5, [3.413])
+        profile = self.profile([3.413])
         np.testing.assert_allclose(profile[0].rescaled, 0.6347845922322106, rtol=1e-14)
 
     def test_monotone_in_beta(self):
         betas = list(np.linspace(0.0, 4.0, 81))
-        values = [e.rescaled for e in temperature_profile(5, betas)]
+        values = [e.rescaled for e in self.profile(betas)]
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_high_temperature_decay_is_cubic(self):
@@ -421,19 +434,19 @@ class TestTemperatureProfile:
         The rescaled correction divided by beta^2 therefore stays bounded on
         (0, 0.1] (it decreases to zero) without approaching a constant.
         """
-        low = temperature_profile(5, [0.05])[0].rescaled
-        high = temperature_profile(5, [0.10])[0].rescaled
+        low = self.profile([0.05])[0].rescaled
+        high = self.profile([0.10])[0].rescaled
         np.testing.assert_allclose(high / low, 7.994322364854063, rtol=1e-10)
         np.testing.assert_allclose(high / low, 8.0, rtol=1e-2)
         betas = np.linspace(0.01, 0.1, 10)
-        ratios = [e.rescaled / e.beta**2 for e in temperature_profile(5, list(betas))]
+        ratios = [e.rescaled / e.beta**2 for e in self.profile(betas)]
         bound = max(ratios)
         assert ratios == sorted(ratios)
         assert all(0.0 < r <= bound for r in ratios)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
-            temperature_profile(5, [-0.5])
+            self.profile([-0.5])
 
 
 class TestIncoherentRegionSweep:

@@ -11,11 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfdr import cli
-from qfdr.analytics import incoherent_region_sweep, temperature_profile
+from qfdr.analytics import incoherent_region_sweep, quantum_correction
 from qfdr.cli import load_config, main
 from qfdr.config import COMMANDS, FORMATS, ConfigError, RunConfig, build_config, parse_document
 from qfdr.io import format_value, read_csv_table, read_samples, render_csv
-from qfdr.protocol import KINDS
+from qfdr.protocol import COHERENT, KINDS, ProtocolSpec
 from qfdr.reference import load_reference_points
 from qfdr.stats import bootstrap_q, estimate_from_samples
 from qfdr.qubit import ThermalSpec
@@ -364,7 +364,8 @@ class TestTemperatureProfileCommand:
         assert main(["temperature-profile", "--n-steps", "2,3", "--betas", "0,1.5,3.413",
                      "--output", str(out)]) == 0
         _, rows = read_csv_table(out)
-        expected = [(n, estimate) for n in (2, 3) for estimate in temperature_profile(n, betas)]
+        expected = [(n, quantum_correction(ProtocolSpec(COHERENT, n, ThermalSpec.from_beta(beta))))
+                    for n in (2, 3) for beta in betas]
         assert len(rows) == len(expected)
         for row, (n, estimate) in zip(rows, expected):
             assert int(row["n_steps"]) == n

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import string
 import tempfile
 import tracemalloc
@@ -237,6 +238,16 @@ def _columns_swapped(header, columns, rows):
     return "\n".join([*header, *swapped]) + "\n"
 
 
+def _set_header(key, value):
+    """An edit of a samples file's lines that gives one header key a new value."""
+    return lambda lines: [f"# {key}={value}" if line.startswith(f"# {key}=") else line
+                          for line in lines]
+
+
+def _non_numeric_total(lines):
+    return lines[:-2] + [lines[-2].split(",")[0] + ",abc", lines[-1]]
+
+
 class TestSamplesFileFormat:
     """Layouts of one samples file that must all read as the file itself."""
 
@@ -291,15 +302,28 @@ class TestSamplesFileFormat:
                         else line for line in lines], "first_excited_counts has 2 entries"),
         (lambda lines: [line + ",0" if line.startswith("# flip_counts=")
                         else line for line in lines], "flip_counts has 4 entries"),
-    ], ids=["truncated", "padded", "short-first-excited", "long-flips"])
+        (lambda lines: [line.replace("total_work", "work") for line in lines],
+         "'total_work' is not in list"),
+        (_set_header("n_steps", "x"), r"invalid literal for int\(\) with base 10: 'x'"),
+        (_set_header("seed", "1.5"), r"invalid literal for int\(\) with base 10: '1.5'"),
+        (_set_header("runs", "ten"), r"invalid literal for int\(\) with base 10: 'ten'"),
+        (_set_header("beta", "abc"), "could not convert string to float: 'abc'"),
+        (_set_header("kind", "foo"), "kind must be 'coherent' or 'incoherent', got 'foo'"),
+        (_set_header("flip_counts", "4,2,x"), r"invalid literal for int\(\) with base 10: 'x'"),
+        (_non_numeric_total, "could not convert string 'abc' to float64 at row 48"),
+    ], ids=["truncated", "padded", "short-first-excited", "long-flips", "no-total-column",
+            "n-steps-word", "seed-fraction", "runs-word", "beta-word", "unknown-kind",
+            "count-word", "total-word"])
     def test_inconsistent_file_rejected(self, tmp_path, edit, message):
         """The header's counts are over all the runs it names, so a file whose
-        rows or count vectors disagree with it would bias the estimate."""
+        rows or count vectors disagree with it would bias the estimate; and
+        every malformed file is rejected with its path named once, in front."""
         path = tmp_path / "samples.csv"
         self._write_plain(path)
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}") as error:
             read_samples(path)
+        assert str(error.value).count(str(path)) == 1
 
     @pytest.mark.parametrize("key", ["kind", "n_steps", "beta", "omega_start", "omega_end", "runs",
                                      "seed", "first_excited_counts", "flip_counts", "spam_dark"])

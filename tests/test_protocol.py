@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfdr import protocol
-from qfdr.analytics import coherent_cumulants, incoherent_correction, incoherent_cumulants
+from qfdr.analytics import incoherent_correction, incoherent_cumulants, quantum_correction
 from qfdr.cli import main
 from qfdr.io import read_samples, write_samples
 from qfdr.protocol import (
@@ -32,7 +32,7 @@ from qfdr.protocol import (
     sample_work,
     step_table,
 )
-from qfdr.qubit import ThermalSpec, population_to_beta, thermal_population
+from qfdr.qubit import ThermalSpec, population_to_beta
 
 from oracle import gibbs_state, measure_energy_basis, tpm_step_distribution
 
@@ -55,7 +55,7 @@ class TestProtocolSpec:
     def test_gap_schedule(self):
         delta, excited = ramp_occupations(2.0, 1.0, 3.0, 4)
         assert delta == 0.5
-        expected = [thermal_population(2.0 * gap) for gap in (1.0, 1.5, 2.0, 2.5)]
+        expected = [ThermalSpec(2.0 * gap).population for gap in (1.0, 1.5, 2.0, 2.5)]
         np.testing.assert_allclose(excited, expected, rtol=1e-14)
 
     def test_invalid_specs(self):
@@ -634,9 +634,10 @@ class TestStepTable:
             step = apply_spam(step, spam)
         for row in table.probs:
             assert_work_marginal(table.works, row, step.works, work_marginal(step))
-            assert abs(row[:, 1].sum() - thermal_population(beta)) <= PROB_ATOL
+            assert abs(row[:, 1].sum() - ThermalSpec(beta).population) <= PROB_ATOL
         if spam is None:
-            mean_ref, var_ref = coherent_cumulants(spec)
+            closed = quantum_correction(spec)
+            mean_ref, var_ref = closed.mean_work, closed.var_work
         else:
             mean_ref, var_ref = n * step.mean(), n * step.variance()
         # the mean is 0 at beta = 0, where only an absolute rounding bound applies
@@ -661,7 +662,7 @@ class TestStepTable:
         assert np.all(np.abs(table.probs.sum(axis=(1, 2)) - 1.0) <= PROB_ATOL)
         delta = (omega_end - omega_start) / n
         for j, row in enumerate(table.probs):
-            excited = thermal_population(min(beta * (omega_start + j * delta), 700.0))
+            excited = ThermalSpec(min(beta * (omega_start + j * delta), 700.0)).population
             assert_work_marginal(table.works, row, [-delta / 2.0, delta / 2.0],
                                  [1.0 - excited, excited])
             assert abs(row[:, 1].sum() - excited) <= PROB_ATOL
@@ -714,7 +715,7 @@ class TestStepTable:
         readout k is excited with p, the pulse flips the level with s, and
         the second readout reads ground as bright with pb and excited as dark
         with pd; the work is the second reading less k."""
-        p = thermal_population(beta)
+        p = ThermalSpec(beta).population
         s = math.sin(math.pi / (4 * n)) ** 2
         misread = (pb, pd)
         expected = np.zeros((3, 2))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qfdr.qubit import BETA_CAP, ThermalSpec, population_to_beta, thermal_population
+from qfdr.qubit import BETA_CAP, ThermalSpec, flip_probability, population_to_beta
 
 from oracle import (
     ATOL,
@@ -54,7 +54,7 @@ class TestGibbsState:
 
     def test_non_finite_beta_rejected(self):
         with pytest.raises(ValueError):
-            thermal_population(math.nan)
+            ThermalSpec(math.nan).population
         with pytest.raises(ValueError):
             ThermalSpec.from_beta(math.nan)
 
@@ -163,11 +163,14 @@ class TestMeasurement:
             measure_energy_basis(np.array([[math.nan, 0.0], [0.0, 1.0]]))
 
     def test_flip_probability_oracle_identity(self):
-        """Born rule reproduces sin^2(pi/(4N)) for every step count up to 64."""
+        """Born rule reproduces the Rabi law at the step angle pi/(2N), which
+        is sin^2(pi/(4N)) bit for bit, for every step count up to 64."""
         for n in range(1, 65):
-            rotated = apply_unitary(basis_state(0), rotation(math.pi / (2.0 * n)))
+            theta = math.pi / (2.0 * n)
+            rotated = apply_unitary(basis_state(0), rotation(theta))
             _, p1 = measure_energy_basis(rotated)
-            assert abs(p1 - math.sin(math.pi / (4.0 * n)) ** 2) < ATOL
+            assert abs(p1 - flip_probability(theta)) < ATOL
+            assert flip_probability(theta) == math.sin(math.pi / (4.0 * n)) ** 2
 
     def test_unitary_conjugation_preserves_state_health(self):
         rng = np.random.default_rng(99)

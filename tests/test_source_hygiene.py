@@ -2,9 +2,10 @@
 no unused import, no unreferenced module-level name, no defaulted parameter
 that no call passes, a package ``__init__`` that imports nothing and binds
 only ``__version__``, no definition that neither a command nor a listed
-outside entry point reaches, no private name read across modules, and the
-names and parameters that the benchmark's tracer looks up; and, run in fresh
-interpreters, every module importable alone.
+outside entry point reaches, no private name read across modules, one Rabi
+law (``math.sin`` in ``qubit.py`` alone), and the names and parameters that
+the benchmark's tracer looks up; and, run in fresh interpreters, every
+module importable alone.
 Public names and parameters count as used when the package, its tests or the
 benchmark harness read or pass them."""
 
@@ -106,6 +107,20 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                       if not any(_passes(c, parameter, position, method)
                                  for c in calls.get(fn.name, []))]
     assert not never, f"defaulted parameters that no call passes: {never}"
+
+
+def test_rabi_law_lives_in_qubit_alone():
+    """``math.sin`` is called in ``qubit.py`` alone, by ``flip_probability``:
+    the step tables, the coherent closed form and the calibration all take
+    a flip probability from that one Rabi law, so a change of the pulse
+    area is one edit."""
+    callers = {name for name, tree in SOURCES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "sin" and getattr(node.func.value, "id", None) == "math"}
+    imports = {name for name, tree in SOURCES.items() for bound, node in imported(tree)
+               if getattr(node, "module", None) == "math" and bound == "sin"}
+    assert callers == {"qubit.py"} and not imports, \
+        f"math.sin called in {sorted(callers)}, imported bare in {sorted(imports)}"
 
 
 def test_package_binds_only_its_version():
