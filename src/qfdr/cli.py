@@ -18,7 +18,6 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from . import analytics, stats
 from .config import COMMANDS, ConfigError, RunConfig, build_config, parse_document
@@ -208,7 +207,7 @@ def run_calibrate(config: RunConfig) -> int:
     and the linear-regression calibration, aimed at the same law, recovers
     the fitted duration.
     """
-    rng = Generator(Philox(key=config.seed))
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
     true_duration = config.target_theta
     window = 0.1
     durations = np.linspace(true_duration - window, true_duration + window, 5)

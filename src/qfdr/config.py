@@ -184,3 +184,6 @@ def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
         _fail("beta", f"{message}, got {config.beta}", lines.get("beta"))
     if config.spam and config.kind == INCOHERENT:
         _fail("spam", "readout error is modelled for coherent protocols only", lines.get("spam"))
+    if config.command == "simulate" and config.format != "csv":
+        _fail("format", f"simulate writes CSV samples files only, got {config.format!r}",
+              lines.get("format"))

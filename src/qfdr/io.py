@@ -15,7 +15,6 @@ runs, and have their data rows parsed by numpy's C reader (``np.loadtxt``).
 
 from __future__ import annotations
 
-import json
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -65,6 +64,8 @@ def render_csv(fieldnames: list[str], rows: list[dict]) -> str:
 
 
 def render_json(rows: list[dict]) -> str:
+    import json  # on first use: only --format json needs it
+
     # numpy scalars that json cannot take become the Python value they hold
     return json.dumps(rows, indent=2, default=np.generic.item) + "\n"
 
@@ -131,13 +132,13 @@ def read_samples(path: Path) -> WorkSampleSet:
     up to the column-name line.  The data rows are parsed by numpy's C reader,
     which skips blank and ``#`` lines among them.  Every malformed file raises
     ``ValueError`` with the path in front of its message: a column-name line
-    without ``total_work``, a total that is not a number, a header value that
-    does not parse or describes no protocol, a header that lacks a key or has
-    one of ``spam_bright`` and ``spam_dark`` without the other, a truncated
-    or padded file, whose data rows differ in number from the header's
-    ``runs``, and a count vector (``first_excited_counts``, ``flip_counts``)
-    without one entry per step: the header's counts are over all the runs it
-    names.
+    without ``total_work``, a total that is not a finite number, a header
+    value that does not parse or describes no protocol, a header that lacks a
+    key or has one of ``spam_bright`` and ``spam_dark`` without the other, a
+    truncated or padded file, whose data rows differ in number from the
+    header's ``runs``, and a count vector (``first_excited_counts``,
+    ``flip_counts``) without one entry per step or with an entry outside
+    [0, ``runs``]: the header's counts are over all the runs it names.
     """
     header: dict[str, str] = {}
     consumed = 0
@@ -169,13 +170,18 @@ def read_samples(path: Path) -> WorkSampleSet:
             p_dark_given_1=float(header["spam_dark"]))
         totals = np.loadtxt(path, delimiter=",", comments="#", usecols=column,
                             skiprows=consumed, ndmin=1)
-        if totals.size != int(header["runs"]):
-            raise ValueError(f"{totals.size} data rows, header says runs={header['runs']}")
+        runs = int(header["runs"])
+        if totals.size != runs:
+            raise ValueError(f"{totals.size} data rows, header says runs={runs}")
+        if (bad := np.flatnonzero(~np.isfinite(totals))).size:
+            raise ValueError(f"total {totals[bad[0]]} at row {bad[0]} is not finite")
         counts = {key: np.array(header[key].split(","), dtype=np.int64)
                   for key in ("first_excited_counts", "flip_counts")}
         for key, count in counts.items():
             if count.size != spec.n_steps:
                 raise ValueError(f"{key} has {count.size} entries, n_steps={spec.n_steps}")
+            if count.min() < 0 or count.max() > runs:
+                raise ValueError(f"{key} has an entry outside [0, runs={runs}]: {header[key]}")
         return WorkSampleSet.from_totals(totals, **counts, seed=int(header["seed"]),
                                          spec=spec, spam=spam)
     except ValueError as error:

@@ -30,11 +30,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .qubit import ThermalSpec, flip_probability
 
@@ -331,9 +329,9 @@ def _sample_block(
     # stream exactly as one draw for all the runs would
     n = table.probs.shape[0]
     budget = -(-n // _PHILOX_BLOCK) * _PHILOX_BLOCK
-    bit_generator = Philox(key=seed)
+    bit_generator = np.random.Philox(key=seed)
     bit_generator.advance(start * (budget // _PHILOX_BLOCK))
-    u = Generator(bit_generator).random((n_runs, budget))[:, :n]
+    u = np.random.Generator(bit_generator).random((n_runs, budget))[:, :n]
     # cell 2 l + k of each step by inverse-CDF lookup in its row; levels sum as integers
     cell = np.zeros(u.shape, dtype=np.int8)
     for bound in table.probs.reshape(n, -1).cumsum(axis=1)[:, :-1].T:
@@ -363,6 +361,8 @@ def sample_work(
         raise ValueError(f"runs must be >= 1, got {runs}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    from concurrent.futures import ThreadPoolExecutor  # on first use: only simulate starts threads
+
     table = step_table(spec, spam)
     starts = range(0, runs, _BLOCK_RUNS)
     with ThreadPoolExecutor(max_workers=min(workers, len(starts), os.cpu_count() or 1)) as pool:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .analytics import MONTE_CARLO, FdrEstimate, delta_free_energy, make_estimate
 from .protocol import (
@@ -143,7 +142,7 @@ def bootstrap_q(
         raise ValueError(f"runs must be >= 1, got {runs}")
     spec = ProtocolSpec(kind, n_steps, thermal, omega_start, omega_end)
     totals, excited, probs = run_distribution(step_table(spec, spam))
-    rng = Generator(Philox(key=[seed, 1]))
+    rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
     block = max(1, _BLOCK_CELLS // totals.size)
     q_values = []
     for start in range(0, resamples, block):

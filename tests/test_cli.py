@@ -143,6 +143,7 @@ class TestConfigSources:
     )
     def test_sources_agree_on_valid_values(self, command, values):
         assume(not (values.get("spam") and values.get("kind") == "incoherent"))
+        assume(not (command == "simulate" and values.get("format") == "json"))
         document = "".join(f"{key} = {_text(value)}\n" for key, value in values.items())
         from_file = build_config(parse_document(f"command = {command}\n{document}"))
         from_flags = load_config([command, *(_flag(key, value) for key, value in values.items())])
@@ -471,6 +472,14 @@ class TestExitCodes:
                      "--output", str(out)])
         assert code == 2
         assert "spam" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_json_is_2(self, tmp_path, capsys):
+        """A samples file is CSV only, so ``simulate`` refuses JSON rather
+        than write CSV under a ``.json`` name."""
+        out = tmp_path / "samples.json"
+        assert main(["simulate", "--format", "json", "--runs", "100", "--output", str(out)]) == 2
+        assert "format" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "file"])

@@ -244,8 +244,9 @@ def _set_header(key, value):
                           for line in lines]
 
 
-def _non_numeric_total(lines):
-    return lines[:-2] + [lines[-2].split(",")[0] + ",abc", lines[-1]]
+def _set_total(text):
+    """An edit of a samples file's lines that sets the next-to-last run's total to ``text``."""
+    return lambda lines: lines[:-2] + [lines[-2].split(",")[0] + "," + text, lines[-1]]
 
 
 class TestSamplesFileFormat:
@@ -310,10 +311,18 @@ class TestSamplesFileFormat:
         (_set_header("beta", "abc"), "could not convert string to float: 'abc'"),
         (_set_header("kind", "foo"), "kind must be 'coherent' or 'incoherent', got 'foo'"),
         (_set_header("flip_counts", "4,2,x"), r"invalid literal for int\(\) with base 10: 'x'"),
-        (_non_numeric_total, "could not convert string 'abc' to float64 at row 48"),
+        (_set_total("abc"), "could not convert string 'abc' to float64 at row 48"),
+        (_set_header("first_excited_counts", "-5,0,2"),
+         r"first_excited_counts has an entry outside \[0, runs=50\]: -5,0,2$"),
+        (_set_header("flip_counts", "4,51,2"),
+         r"flip_counts has an entry outside \[0, runs=50\]: 4,51,2$"),
+        (_set_total("nan"), "total nan at row 48 is not finite$"),
+        (_set_total("inf"), "total inf at row 48 is not finite$"),
+        (_set_total("-inf"), "total -inf at row 48 is not finite$"),
     ], ids=["truncated", "padded", "short-first-excited", "long-flips", "no-total-column",
             "n-steps-word", "seed-fraction", "runs-word", "beta-word", "unknown-kind",
-            "count-word", "total-word"])
+            "count-word", "total-word", "negative-count", "count-above-runs", "nan-total",
+            "inf-total", "minus-inf-total"])
     def test_inconsistent_file_rejected(self, tmp_path, edit, message):
         """The header's counts are over all the runs it names, so a file whose
         rows or count vectors disagree with it would bias the estimate; and

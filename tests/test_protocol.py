@@ -288,7 +288,7 @@ class TestSampleWork:
                 block_counts.append(len(items))
                 return map(fn, items)
 
-        monkeypatch.setattr("qfdr.protocol.ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = ProtocolSpec(COHERENT, 4, EXPERIMENT)
         runs = 3 * _BLOCK_RUNS

@@ -5,7 +5,7 @@ only ``__version__``, no definition that neither a command nor a listed
 outside entry point reaches, no private name read across modules, one Rabi
 law (``math.sin`` in ``qubit.py`` alone), and the names and parameters that
 the benchmark's tracer looks up; and, run in fresh interpreters, every
-module importable alone.
+module importable alone and no command loading a module it does not use.
 Public names and parameters count as used when the package, its tests or the
 benchmark harness read or pass them."""
 
@@ -137,6 +137,46 @@ def test_module_imports_alone(module):
     having been imported first."""
     env = {**os.environ, "PYTHONPATH": str(Path(qfdr.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", f"import qfdr.{module}"], env=env, check=True, timeout=60)
+
+
+# Modules that only some commands need, loaded on first use
+LAZY_MODULES = ("numpy.random", "concurrent.futures", "json", "logging")
+
+_LAZY_PROBE = """
+import ast
+import sys
+from qfdr.cli import main
+
+def report():
+    print("loaded:", *[name for name in sys.argv[1].split(",") if name in sys.modules])
+
+report()
+for argv in ast.literal_eval(sys.argv[2]):
+    assert main(argv) == 0, argv
+    report()
+"""
+
+
+def test_commands_load_only_the_modules_they_use(tmp_path):
+    """A fresh ``import qfdr.cli`` and the four table commands that draw no
+    random numbers load none of ``LAZY_MODULES``; ``--format json`` loads
+    ``json``, and ``simulate`` the random stack and the thread pool."""
+    runs = [[command, *extra, "--output", str(tmp_path / f"{command}.csv")]
+            for command, *extra in (["analytic"], ["sweep"], ["certify"],
+                                    ["temperature-profile", "--n-steps", "2"])]
+    runs += [["analytic", "--format", "json", "--output", str(tmp_path / "analytic.json")],
+             ["simulate", "--n-steps", "2", "--runs", "100", "--resamples", "2",
+              "--output", str(tmp_path / "samples.csv")]]
+    env = {**os.environ, "PYTHONPATH": str(Path(qfdr.__file__).parents[1])}
+    stdout = subprocess.run([sys.executable, "-c", _LAZY_PROBE, ",".join(LAZY_MODULES), repr(runs)],
+                            env=env, check=True, timeout=60, capture_output=True, text=True).stdout
+    loaded = [set(line.split()[1:]) for line in stdout.splitlines() if line.startswith("loaded:")]
+    after_import, *after_tables, after_json, after_simulate = loaded
+    assert len(after_tables) == 4
+    assert after_import == set(), f"loaded by import qfdr.cli: {after_import}"
+    assert after_tables == [set()] * 4, f"loaded by the table commands: {after_tables}"
+    assert after_json == {"json"}
+    assert {"numpy.random", "concurrent.futures"} <= after_simulate
 
 
 # Definitions that no command reaches but that code outside the package calls,
