@@ -187,3 +187,6 @@ def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
     if config.command == "simulate" and config.format != "csv":
         _fail("format", f"simulate writes CSV samples files only, got {config.format!r}",
               lines.get("format"))
+    if config.command == "simulate" and len(set(config.n_steps)) < len(config.n_steps):
+        _fail("n_steps", f"simulate writes one file per step count, got {config.n_steps}",
+              lines.get("n_steps"))

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocol import ProtocolSpec, SpamModel, WorkSampleSet
+from .protocol import ProtocolSpec, SpamModel, WorkSampleSet, step_table
 from .qubit import ThermalSpec
 
 # the one text of a float: 17 significant digits, round-trip exact
@@ -130,12 +130,14 @@ def read_samples(path: Path) -> WorkSampleSet:
 
     Header keys are read from the leading block of ``# key=value`` lines only,
     up to the column-name line.  The data rows are parsed by numpy's C reader,
-    which skips blank and ``#`` lines among them.  Every malformed file raises
-    ``ValueError`` with the path in front of its message: a column-name line
-    without ``total_work``, a total that is not a finite number, a header
-    value that does not parse or describes no protocol, a header that lacks a
-    key or has one of ``spam_bright`` and ``spam_dark`` without the other, a
-    truncated or padded file, whose data rows differ in number from the
+    which skips blank and ``#`` lines among them, and each total is mapped back
+    to its run's level sum by the header's ``step_table``.  Every malformed
+    file raises ``ValueError`` with the path in front of its message: a
+    column-name line without ``total_work``, a total that is not a finite
+    number or is no run total of the header's protocol, a header value that
+    does not parse or describes no protocol, a header that lacks a key or has
+    one of ``spam_bright`` and ``spam_dark`` without the other, ``runs`` below
+    1, a truncated or padded file, whose data rows differ in number from the
     header's ``runs``, and a count vector (``first_excited_counts``,
     ``flip_counts``) without one entry per step or with an entry outside
     [0, ``runs``]: the header's counts are over all the runs it names.
@@ -168,9 +170,11 @@ def read_samples(path: Path) -> WorkSampleSet:
         spam = None if "spam_bright" not in header else SpamModel(
             p_bright_given_0=float(header["spam_bright"]),
             p_dark_given_1=float(header["spam_dark"]))
+        runs = int(header["runs"])
+        if runs < 1:
+            raise ValueError(f"runs must be >= 1, got {runs}")
         totals = np.loadtxt(path, delimiter=",", comments="#", usecols=column,
                             skiprows=consumed, ndmin=1)
-        runs = int(header["runs"])
         if totals.size != runs:
             raise ValueError(f"{totals.size} data rows, header says runs={runs}")
         if (bad := np.flatnonzero(~np.isfinite(totals))).size:
@@ -182,7 +186,8 @@ def read_samples(path: Path) -> WorkSampleSet:
                 raise ValueError(f"{key} has {count.size} entries, n_steps={spec.n_steps}")
             if count.min() < 0 or count.max() > runs:
                 raise ValueError(f"{key} has an entry outside [0, runs={runs}]: {header[key]}")
-        return WorkSampleSet.from_totals(totals, **counts, seed=int(header["seed"]),
-                                         spec=spec, spam=spam)
+        table = step_table(spec)  # readout error changes its probabilities, not its grid
+        return WorkSampleSet.from_level_sums(table, table.level_sums(totals), **counts,
+                                             seed=int(header["seed"]), spec=spec, spam=spam)
     except ValueError as error:
         raise ValueError(f"{path}: {error}") from error

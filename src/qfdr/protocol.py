@@ -54,6 +54,9 @@ _PHILOX_BLOCK = 4
 # arrays of _BLOCK_RUNS x N cells, not of runs x N.
 _BLOCK_RUNS = 4096
 
+# Run totals per block of ``StepTable.level_sums``, which caps its temporaries
+_BLOCK_TOTALS = 16384
+
 
 @dataclass(frozen=True)
 class SpamModel:
@@ -165,6 +168,30 @@ class StepTable:
     def total_work(self, i: np.ndarray) -> np.ndarray:
         """Run total of level sum ``i``: N works[0] + i (works[1] - works[0])."""
         return self.probs.shape[0] * self.works[0] + i * (self.works[1] - self.works[0])
+
+    def level_sums(self, totals: np.ndarray) -> np.ndarray:
+        """Level sum of each run total: the exact inverse of ``total_work`` on its grid.
+
+        A binary search in the sorted grid, between the least and greatest total,
+        never divides by the step, which is zero on a flat ramp.  A total that is
+        not bit for bit a grid value raises ``ValueError`` naming its row.
+        """
+        n, levels, _ = self.probs.shape
+        grid = self.total_work(np.arange(n * (levels - 1) + 1))
+        order = np.argsort(grid, kind="stable")
+        grid = grid[order]
+        lo, hi = np.searchsorted(grid, [totals.min(), totals.max()]).clip(max=grid.size - 1)
+        grid, order = grid[lo : hi + 1], order[lo : hi + 1]
+        bits = grid.view(np.int64)
+        sums = np.empty(totals.size, dtype=np.intp)
+        for start in range(0, totals.size, _BLOCK_TOTALS):
+            block = totals[start : start + _BLOCK_TOTALS]
+            at = np.searchsorted(grid, block)
+            if (off := np.take(bits, at, mode="clip") != block.view(np.int64)).any():
+                row = start + off.argmax()
+                raise ValueError(f"total {totals[row]} at row {row} is not a run total")
+            np.take(order, at, out=sums[start : start + block.size], mode="clip")
+        return sums
 
     def mean(self) -> float:
         """Mean of the total work, the sum of the steps' means."""
@@ -286,9 +313,8 @@ class WorkSampleSet:
 
     Run r's total is ``levels[codes[r]]``: ``levels`` are the distinct grid totals of
     ``StepTable.total_work`` in ascending order, ``codes`` the narrowest unsigned integers.
-    ``from_totals`` finds the levels by value alone (numpy >= 2.3 hashes the runs and
-    sorts only the few distinct totals) and codes each run by one binary search
-    over the levels, so the runs themselves are never sorted.
+    ``from_level_sums`` builds both from the runs' integer level sums, so the runs
+    themselves are never sorted.
     ``first_excited_counts[j]`` counts excited first readouts at step j over
     all runs; ``flip_counts[j]`` counts nonzero-work outcomes at step j for
     coherent protocols and positive-work outcomes for incoherent ones.  The
@@ -306,10 +332,17 @@ class WorkSampleSet:
     spam: SpamModel | None = None
 
     @classmethod
-    def from_totals(cls, totals: np.ndarray, **fields) -> "WorkSampleSet":
-        levels = np.unique(totals)
-        codes = np.searchsorted(levels, totals)
-        return cls(levels, codes.astype(np.min_scalar_type(levels.size)), **fields)
+    def from_level_sums(cls, table: StepTable, sums: np.ndarray, **fields) -> "WorkSampleSet":
+        """Runs coded by their level sums: the few sums that occur are flagged (a count
+        into a few bins waits on itself) and totalled, their sorted distinct totals
+        are the levels, and one lookup array codes every run."""
+        occurs = np.zeros(sums.max() + 1, dtype=bool)
+        occurs[sums] = True
+        present = np.flatnonzero(occurs)
+        levels, remap = np.unique(table.total_work(present), return_inverse=True)
+        lookup = np.zeros(occurs.size, dtype=np.min_scalar_type(levels.size))
+        lookup[present] = remap
+        return cls(levels, lookup[sums], **fields)
 
     @property
     def totals(self) -> np.ndarray:
@@ -369,8 +402,8 @@ def sample_work(
         results = list(pool.map(
             lambda start: _sample_block(table, seed, start, min(_BLOCK_RUNS, runs - start)), starts))
     level_sums, first_counts, flip_counts = zip(*results)
-    return WorkSampleSet.from_totals(
-        table.total_work(np.concatenate(level_sums)),
+    return WorkSampleSet.from_level_sums(
+        table, np.concatenate(level_sums),
         first_excited_counts=np.sum(first_counts, axis=0),
         flip_counts=np.sum(flip_counts, axis=0),
         seed=seed,

@@ -144,6 +144,8 @@ class TestConfigSources:
     def test_sources_agree_on_valid_values(self, command, values):
         assume(not (values.get("spam") and values.get("kind") == "incoherent"))
         assume(not (command == "simulate" and values.get("format") == "json"))
+        steps = values.get("n_steps", [])
+        assume(not (command == "simulate" and len(set(steps)) < len(steps)))
         document = "".join(f"{key} = {_text(value)}\n" for key, value in values.items())
         from_file = build_config(parse_document(f"command = {command}\n{document}"))
         from_flags = load_config([command, *(_flag(key, value) for key, value in values.items())])
@@ -481,6 +483,14 @@ class TestExitCodes:
         assert main(["simulate", "--format", "json", "--runs", "100", "--output", str(out)]) == 2
         assert "format" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_simulate_repeated_step_count_is_2(self, tmp_path, capsys):
+        """Each step count of a batch writes its own ``_n<N>`` file, so a
+        repeated one would overwrite its own output."""
+        out = tmp_path / "samples.csv"
+        assert main(["simulate", "--n-steps", "2,2", "--runs", "100", "--output", str(out)]) == 2
+        assert "n_steps" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from qfdr.protocol import (
     SpamModel,
     WorkSampleSet,
     sample_work,
+    step_table,
 )
 from qfdr.qubit import ThermalSpec
 
@@ -200,19 +201,20 @@ class TestSamplesFile:
             tracemalloc.stop()
         assert peak <= 3e6, f"traced peak {peak / 1e6:.1f} MB"
 
-    @pytest.mark.parametrize("reader, bound", [("from_totals", 1.5e6), ("read_samples", 2.5e6)])
+    @pytest.mark.parametrize("reader, bound", [("from_level_sums", 1.5e6), ("read_samples", 2.5e6)])
     def test_coding_memory_is_bounded(self, tmp_path, reader, bound):
-        """Coding 100k totals, alone and behind the reader, sorts no copy of
-        the runs: traced peaks 1.0 and 1.9 MB, against 4.1 and 5.0 MB when
-        ``np.unique`` also returns the inverse."""
+        """Coding 100k runs by their level sums, alone and behind the reader,
+        sorts no copy of the runs: traced peaks 0.1 and 2.0 MB, against 4.1 and
+        5.0 MB when ``np.unique`` returns the inverse of all the totals."""
         spec = ProtocolSpec(COHERENT, 10, ThermalSpec.from_beta(3.413))
         samples = sample_work(spec, None, runs=100_000, seed=0)
         path = tmp_path / "samples.csv"
         write_samples(path, samples)
-        totals = samples.totals
+        table = step_table(spec)
+        sums = table.level_sums(samples.totals)
         calls = {
-            "from_totals": lambda: WorkSampleSet.from_totals(
-                totals, first_excited_counts=samples.first_excited_counts,
+            "from_level_sums": lambda: WorkSampleSet.from_level_sums(
+                table, sums, first_excited_counts=samples.first_excited_counts,
                 flip_counts=samples.flip_counts, seed=0, spec=spec),
             "read_samples": lambda: read_samples(path),
         }
@@ -249,13 +251,27 @@ def _set_total(text):
     return lambda lines: lines[:-2] + [lines[-2].split(",")[0] + "," + text, lines[-1]]
 
 
+def _no_runs(lines):
+    """An edit that leaves a samples file with runs=0, zero counts and no data rows."""
+    for key, value in (("runs", "0"), ("first_excited_counts", "0,0,0"), ("flip_counts", "0,0,0")):
+        lines = _set_header(key, value)(lines)
+    return [line for line in lines if line.startswith("# ")] + [",".join(SAMPLES_FIELDS)]
+
+
+# the plain file: totals on the integer grid -3 .. 3
+COHERENT_N3 = ProtocolSpec(COHERENT, 3, ThermalSpec.from_beta(3.413))
+# totals on the grid 1 - 2i/3, i = 0 .. 3
+DESCENDING_N3 = ProtocolSpec(INCOHERENT, 3, ThermalSpec.from_beta(3.413), 3.0, 1.0)
+
+
 class TestSamplesFileFormat:
     """Layouts of one samples file that must all read as the file itself."""
 
     @staticmethod
-    def _write_plain(path, runs=50):
-        spec = ProtocolSpec(COHERENT, 3, ThermalSpec.from_beta(3.413))
-        samples = sample_work(spec, SpamModel(0.004, 0.01), runs, seed=6)
+    def _write_plain(path, runs=50, spec=COHERENT_N3):
+        """Write the runs of ``spec``, with readout error if it is coherent."""
+        spam = SpamModel(0.004, 0.01) if spec.kind == COHERENT else None
+        samples = sample_work(spec, spam, runs, seed=6)
         write_samples(path, samples)
         return samples
 
@@ -296,39 +312,58 @@ class TestSamplesFileFormat:
         with pytest.raises(ValueError):
             read_samples(path)
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda lines: lines[:-20], "30 data rows, header says runs=50"),
-        (lambda lines: lines + lines[-3:], "53 data rows, header says runs=50"),
-        (lambda lines: [line.rpartition(",")[0] if line.startswith("# first_excited_counts=")
-                        else line for line in lines], "first_excited_counts has 2 entries"),
-        (lambda lines: [line + ",0" if line.startswith("# flip_counts=")
-                        else line for line in lines], "flip_counts has 4 entries"),
-        (lambda lines: [line.replace("total_work", "work") for line in lines],
-         "'total_work' is not in list"),
-        (_set_header("n_steps", "x"), r"invalid literal for int\(\) with base 10: 'x'"),
-        (_set_header("seed", "1.5"), r"invalid literal for int\(\) with base 10: '1.5'"),
-        (_set_header("runs", "ten"), r"invalid literal for int\(\) with base 10: 'ten'"),
-        (_set_header("beta", "abc"), "could not convert string to float: 'abc'"),
-        (_set_header("kind", "foo"), "kind must be 'coherent' or 'incoherent', got 'foo'"),
-        (_set_header("flip_counts", "4,2,x"), r"invalid literal for int\(\) with base 10: 'x'"),
-        (_set_total("abc"), "could not convert string 'abc' to float64 at row 48"),
-        (_set_header("first_excited_counts", "-5,0,2"),
-         r"first_excited_counts has an entry outside \[0, runs=50\]: -5,0,2$"),
-        (_set_header("flip_counts", "4,51,2"),
-         r"flip_counts has an entry outside \[0, runs=50\]: 4,51,2$"),
-        (_set_total("nan"), "total nan at row 48 is not finite$"),
-        (_set_total("inf"), "total inf at row 48 is not finite$"),
-        (_set_total("-inf"), "total -inf at row 48 is not finite$"),
+    def test_flat_ramp_reads_with_one_level(self, tmp_path):
+        """A flat ramp has a zero step, so every run totals 0."""
+        path = tmp_path / "samples.csv"
+        flat = ProtocolSpec(INCOHERENT, 4, ThermalSpec.from_beta(3.413), 2.0, 2.0)
+        samples = self._write_plain(path, spec=flat)
+        read = read_samples(path)
+        self._assert_same_set(read, samples)
+        np.testing.assert_array_equal(read.levels, [0.0])
+        assert not read.codes.any()
+
+    @pytest.mark.parametrize("spec, edit, message", [
+        *((COHERENT_N3, edit, message) for edit, message in [
+            (lambda lines: lines[:-20], "30 data rows, header says runs=50"),
+            (lambda lines: lines + lines[-3:], "53 data rows, header says runs=50"),
+            (lambda lines: [line.rpartition(",")[0] if line.startswith("# first_excited_counts=")
+                            else line for line in lines], "first_excited_counts has 2 entries"),
+            (lambda lines: [line + ",0" if line.startswith("# flip_counts=")
+                            else line for line in lines], "flip_counts has 4 entries"),
+            (lambda lines: [line.replace("total_work", "work") for line in lines],
+             "'total_work' is not in list"),
+            (_set_header("n_steps", "x"), r"invalid literal for int\(\) with base 10: 'x'"),
+            (_set_header("seed", "1.5"), r"invalid literal for int\(\) with base 10: '1.5'"),
+            (_set_header("runs", "ten"), r"invalid literal for int\(\) with base 10: 'ten'"),
+            (_set_header("beta", "abc"), "could not convert string to float: 'abc'"),
+            (_set_header("kind", "foo"), "kind must be 'coherent' or 'incoherent', got 'foo'"),
+            (_set_header("flip_counts", "4,2,x"), r"invalid literal for int\(\) with base 10: 'x'"),
+            (_set_total("abc"), "could not convert string 'abc' to float64 at row 48"),
+            (_set_header("first_excited_counts", "-5,0,2"),
+             r"first_excited_counts has an entry outside \[0, runs=50\]: -5,0,2$"),
+            (_set_header("flip_counts", "4,51,2"),
+             r"flip_counts has an entry outside \[0, runs=50\]: 4,51,2$"),
+            (_set_total("nan"), "total nan at row 48 is not finite$"),
+            (_set_total("inf"), "total inf at row 48 is not finite$"),
+            (_set_total("-inf"), "total -inf at row 48 is not finite$"),
+            (_no_runs, "runs must be >= 1, got 0$"),
+            (_set_total("0.5"), "total 0.5 at row 48 is not a run total$"),
+            (_set_total("2.5"), "total 2.5 at row 48 is not a run total$"),
+            (_set_total("1e6"), "total 1000000.0 at row 48 is not a run total$"),
+        ]),
+        (DESCENDING_N3, _set_total("0"), "total 0.0 at row 48 is not a run total$"),
     ], ids=["truncated", "padded", "short-first-excited", "long-flips", "no-total-column",
             "n-steps-word", "seed-fraction", "runs-word", "beta-word", "unknown-kind",
             "count-word", "total-word", "negative-count", "count-above-runs", "nan-total",
-            "inf-total", "minus-inf-total"])
-    def test_inconsistent_file_rejected(self, tmp_path, edit, message):
+            "inf-total", "minus-inf-total", "runs-zero", "total-0.5", "total-2.5", "total-1e6",
+            "descending-total-0"])
+    def test_inconsistent_file_rejected(self, tmp_path, spec, edit, message):
         """The header's counts are over all the runs it names, so a file whose
-        rows or count vectors disagree with it would bias the estimate; and
-        every malformed file is rejected with its path named once, in front."""
+        rows or count vectors disagree with it would bias the estimate, as
+        would a total that no run of its protocol can produce; and every
+        malformed file is rejected with its path named once, in front."""
         path = tmp_path / "samples.csv"
-        self._write_plain(path)
+        self._write_plain(path, spec=spec)
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}") as error:
             read_samples(path)

@@ -439,9 +439,11 @@ class TestSampleWork:
         samples = sample_work(ProtocolSpec(COHERENT, 10, EXPERIMENT), None, runs=5000, seed=3)
         assert samples.codes.dtype == np.uint8 and samples.codes.shape == (5000,)
         assert np.all(np.diff(samples.levels) > 0) and samples.levels.size <= 21
+        table = step_table(ProtocolSpec(INCOHERENT, 8, EXPERIMENT, 1.0, 5.0))  # totals -2 + i / 2
         totals = np.array([0.5, -1.0, 0.5, 2.0, -1.0])
-        rebuilt = WorkSampleSet.from_totals(totals, first_excited_counts=np.zeros(1),
-                                            flip_counts=np.zeros(1), seed=0, spec=samples.spec)
+        rebuilt = WorkSampleSet.from_level_sums(table, np.array([5, 2, 5, 8, 2]),
+                                                first_excited_counts=np.zeros(1),
+                                                flip_counts=np.zeros(1), seed=0, spec=samples.spec)
         np.testing.assert_array_equal(rebuilt.totals, totals)
         np.testing.assert_array_equal(rebuilt.levels, [-1.0, 0.5, 2.0])
         assert rebuilt.runs == 5
@@ -452,54 +454,60 @@ class TestSampleWork:
 
 
 def sorted_coding(totals):
-    """Levels and codes by one sort of all the runs: the reference for ``from_totals``."""
+    """Levels and codes by one sort of all the runs: the reference for ``from_level_sums``."""
     levels, codes = np.unique(totals, return_inverse=True)
     return levels, codes.astype(np.min_scalar_type(levels.size))
 
 
 @st.composite
-def grid_totals(draw):
-    """Run totals N w0 + i d on the run-law grid, d of either sign (a descending
-    incoherent ramp has d < 0), with special values mixed in."""
-    n = draw(st.integers(1, 600))
-    w0 = draw(st.floats(-10.0, 10.0))
-    d = draw(st.floats(1e-3, 10.0) | st.floats(-10.0, -1e-3))
-    width = draw(st.sampled_from([1, n + 1]))  # one level, or the whole grid
+def tables_and_sums(draw):
+    """A step table and level sums on its grid: coherent tables with and without
+    SPAM, and incoherent ramps that ascend, descend (a negative step) or stay
+    flat (a zero step, one level)."""
+    n = draw(st.integers(1, 300))
+    ramp = draw(st.sampled_from(["coherent", "spam", "ascending", "descending", "flat"]))
+    if ramp in ("coherent", "spam"):
+        spam = SpamModel(0.004, 0.01) if ramp == "spam" else None
+        table = step_table(ProtocolSpec(COHERENT, n, EXPERIMENT), spam)
+    else:
+        low, high = sorted(draw(st.lists(st.floats(0.05, 20.0), min_size=2, max_size=2,
+                                         unique=True)))
+        start, end = {"ascending": (low, high), "descending": (high, low), "flat": (low, low)}[ramp]
+        table = step_table(ProtocolSpec(INCOHERENT, n, EXPERIMENT, start, end))
+    width = draw(st.sampled_from([1, n * (table.works.size - 1) + 1]))  # one sum, or the whole grid
     steps = st.integers(0, width - 1)
-    i = draw(st.lists(steps, min_size=1, max_size=1000) | st.permutations(range(width)))
-    specials = draw(st.lists(st.tuples(st.integers(0, len(i)),
-                                        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])),
-                             max_size=4))
-    totals = list(n * w0 + np.array(i) * d)
-    for at, value in specials:
-        totals.insert(at, value)
-    return np.array(totals)
+    sums = draw(st.lists(steps, min_size=1, max_size=1000) | st.permutations(range(width)))
+    return table, np.array(sums)
 
 
-class TestFromTotals:
-    @given(grid_totals())
-    @example(np.array([0.75]))                                   # one run
-    @example(np.full(40, -2.5))                                  # one level
-    @example(10 * 0.5 - np.arange(300.0) * 0.125)                # > 255 levels: uint16 codes
-    # nan, infinities and both zeros: the sort keeps -0.0 here, the hash +0.0
-    @example(np.array([1.0, math.nan, -math.inf, math.nan, 2.0, math.inf, 1.0, -0.0, 0.0, 0.0]))
+class TestFromLevelSums:
+    @given(tables_and_sums())
+    @example((step_table(ProtocolSpec(COHERENT, 1, EXPERIMENT)), np.array([1])))     # one run
+    @example((step_table(ProtocolSpec(COHERENT, 4, EXPERIMENT)), np.full(40, 3)))    # one level
+    # > 255 levels: uint16 codes
+    @example((step_table(ProtocolSpec(COHERENT, 150, EXPERIMENT)), np.arange(300, -1, -1)))
     @settings(max_examples=150, deadline=None)
-    def test_codes_match_the_sorted_coding(self, totals):
-        samples = WorkSampleSet.from_totals(totals, first_excited_counts=np.zeros(1),
-                                            flip_counts=np.zeros(1), seed=0,
-                                            spec=ProtocolSpec(COHERENT, 1, EXPERIMENT))
-        levels, codes = sorted_coding(totals)
+    def test_codes_match_the_sorted_coding(self, case):
+        table, sums = case
+        samples = WorkSampleSet.from_level_sums(table, sums, first_excited_counts=np.zeros(1),
+                                                flip_counts=np.zeros(1), seed=0,
+                                                spec=ProtocolSpec(COHERENT, 1, EXPERIMENT))
+        levels, codes = sorted_coding(table.total_work(sums))
         np.testing.assert_array_equal(samples.codes, codes)
         assert samples.codes.dtype == codes.dtype
-        zeros = np.signbit(totals[totals == 0.0])
-        if zeros.any() and not zeros.all():
-            # -0.0 and +0.0 are one level, and each coding keeps one of the two
-            # zeros for it (the sort whichever its quicksort leaves first), so
-            # only the level's value is the same.  Neither the sampler nor the
-            # samples writer makes a -0.0 total.
-            np.testing.assert_array_equal(samples.levels, levels)
-        else:
-            assert samples.levels.tobytes() == levels.tobytes()
+        assert samples.levels.tobytes() == levels.tobytes()
+
+    @given(tables_and_sums())
+    @settings(max_examples=150, deadline=None)
+    def test_level_sums_invert_total_work(self, case):
+        """Every grid total maps back to a level sum with that very total; a
+        flat ramp's all map to level sum 0."""
+        table, sums = case
+        totals = table.total_work(sums)
+        found = table.level_sums(totals)
+        assert table.total_work(found).tobytes() == totals.tobytes()
+        if table.works[0] == table.works[1]:
+            assert not found.any()
 
 
 class TestStreamGolden:

@@ -139,13 +139,14 @@ def test_module_imports_alone(module):
     subprocess.run([sys.executable, "-c", f"import qfdr.{module}"], env=env, check=True, timeout=60)
 
 
-# Modules that only some commands need, loaded on first use
-LAZY_MODULES = ("numpy.random", "concurrent.futures", "json", "logging")
+# Modules that only some commands need, loaded on first use, and numpy.ma, which none needs
+LAZY_MODULES = ("numpy.random", "concurrent.futures", "json", "logging", "numpy.ma")
 
 _LAZY_PROBE = """
 import ast
 import sys
 from qfdr.cli import main
+from qfdr.io import read_samples
 
 def report():
     print("loaded:", *[name for name in sys.argv[1].split(",") if name in sys.modules])
@@ -154,13 +155,16 @@ report()
 for argv in ast.literal_eval(sys.argv[2]):
     assert main(argv) == 0, argv
     report()
+read_samples(sys.argv[3])
+report()
 """
 
 
 def test_commands_load_only_the_modules_they_use(tmp_path):
     """A fresh ``import qfdr.cli`` and the four table commands that draw no
     random numbers load none of ``LAZY_MODULES``; ``--format json`` loads
-    ``json``, and ``simulate`` the random stack and the thread pool."""
+    ``json``, and ``simulate`` the random stack and the thread pool.  Neither
+    ``simulate`` nor reading its samples file back loads ``numpy.ma``."""
     runs = [[command, *extra, "--output", str(tmp_path / f"{command}.csv")]
             for command, *extra in (["analytic"], ["sweep"], ["certify"],
                                     ["temperature-profile", "--n-steps", "2"])]
@@ -168,15 +172,17 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
              ["simulate", "--n-steps", "2", "--runs", "100", "--resamples", "2",
               "--output", str(tmp_path / "samples.csv")]]
     env = {**os.environ, "PYTHONPATH": str(Path(qfdr.__file__).parents[1])}
-    stdout = subprocess.run([sys.executable, "-c", _LAZY_PROBE, ",".join(LAZY_MODULES), repr(runs)],
+    stdout = subprocess.run([sys.executable, "-c", _LAZY_PROBE, ",".join(LAZY_MODULES), repr(runs),
+                             str(tmp_path / "samples.csv")],
                             env=env, check=True, timeout=60, capture_output=True, text=True).stdout
     loaded = [set(line.split()[1:]) for line in stdout.splitlines() if line.startswith("loaded:")]
-    after_import, *after_tables, after_json, after_simulate = loaded
+    after_import, *after_tables, after_json, after_simulate, after_read = loaded
     assert len(after_tables) == 4
     assert after_import == set(), f"loaded by import qfdr.cli: {after_import}"
     assert after_tables == [set()] * 4, f"loaded by the table commands: {after_tables}"
     assert after_json == {"json"}
     assert {"numpy.random", "concurrent.futures"} <= after_simulate
+    assert "numpy.ma" not in after_simulate | after_read
 
 
 # Definitions that no command reaches but that code outside the package calls,
