@@ -15,7 +15,8 @@ N -> inf.  Incoherent ramps produce a correction that decays as 1/N^2 at
 fixed endpoints, and readout errors alone produce a spurious correction that
 grows linearly in N.  All three scalings are exposed here, together with the
 (inverse speed, rescaled correction) sweep that maps out the region
-attainable by incoherent protocols.  Both incoherent paths share one
+attainable by incoherent protocols and the certificate that sets measured
+points against both classical boundaries.  Both incoherent paths share one
 vectorised closed form for the work cumulants, ``incoherent_cumulants``,
 built on the ramp law ``protocol.ramp_occupations`` (beta omega capped at
 700) that the step tables use too, and one free-energy change,
@@ -41,6 +42,7 @@ from .protocol import (
     ramp_occupations,
 )
 from .qubit import ThermalSpec, flip_probability
+from .reference import ReferencePoint
 
 ANALYTIC = "analytic"
 MONTE_CARLO = "monte_carlo"
@@ -48,9 +50,6 @@ MONTE_CARLO = "monte_carlo"
 # every sweep ramp starts at the experiment's gap; its points are binned in v^-1
 SWEEP_OMEGA_START = 1.0
 SWEEP_BIN_WIDTH = 0.05
-# default grids: omega_end = geomspace(0.05, 20, 200) and N = 1 .. 200
-DEFAULT_OMEGA_GRID = (0.05, 20.0, 200)
-DEFAULT_SWEEP_N_MAX = 200
 
 
 @dataclass(frozen=True)
@@ -243,7 +242,8 @@ class SweepResult:
 
     ``points`` is an (M, 2) float64 array of (v^-1, N Q / |dH|) rows, N-major;
     ``bin_maxima[i]`` is the supremum over the points in bin ``bin_keys[i]``
-    = floor(v^-1 / SWEEP_BIN_WIDTH), keys ascending.
+    = floor(v^-1 / SWEEP_BIN_WIDTH), keys ascending.  ``skipped`` is always
+    0; the benchmark's tracer counts grid cells as points + skipped.
     """
 
     points: np.ndarray
@@ -264,46 +264,26 @@ class SweepResult:
         return (self.bin_keys + 0.5) * SWEEP_BIN_WIDTH
 
 
-def incoherent_region_sweep(
-    beta: float,
-    omega_f_grid: np.ndarray | None = None,
-    n_grid: np.ndarray | None = None,
-    at: list[float] | np.ndarray | None = None,
-) -> SweepResult:
+def incoherent_region_sweep(beta: float, at: list[float] | np.ndarray | None = None) -> SweepResult:
     """Map the (inverse speed, rescaled correction) region of incoherent ramps.
 
-    For every (omega_end, N) pair on the grid the ramp starts at the
-    experiment's gap ``SWEEP_OMEGA_START`` and the rescaled correction
-    N Q / |dH| is recorded at v^-1 = N / |dH| with |dH| = |omega_end -
-    omega_start| / 2, from ``incoherent_cumulants``.  Degenerate omega_end =
-    omega_start entries carry no Hamiltonian change and are skipped; the
-    count is reported in the result.  The per-bin supremum over the grid
-    traces the upper boundary of the attainable region.
+    For every (omega_end, N) pair of the grid omega_end = geomspace(0.05, 20,
+    200), N = 1 .. 200, the ramp starts at the experiment's gap
+    ``SWEEP_OMEGA_START`` and the rescaled correction N Q / |dH| is recorded
+    at v^-1 = N / |dH| with |dH| = |omega_end - omega_start| / 2, from
+    ``incoherent_cumulants``; no grid omega_end equals omega_start.  The
+    per-bin supremum over the grid traces the upper boundary of the
+    attainable region.
 
     Given inverse speeds ``at``, only the cells in their bins are evaluated
     and returned: every cell costs one v^-1 division, and the cumulants
     are taken of each N's wanted omega_end entries alone.  A cumulant entry
     depends on its own omega_end only, so the returned points, bins and
-    ``boundary_at`` there carry the full sweep's bits.  ``skipped`` still
-    counts the whole grid's degenerate entries.
+    ``boundary_at`` there carry the full sweep's bits.
     """
     omega_start = SWEEP_OMEGA_START
-    if omega_f_grid is None:
-        omega_f_grid = np.geomspace(*DEFAULT_OMEGA_GRID)
-    if n_grid is None:
-        n_grid = np.arange(1, DEFAULT_SWEEP_N_MAX + 1)
-    omega_f_grid = np.asarray(omega_f_grid, dtype=np.float64)
-    n_grid = np.asarray(n_grid, dtype=np.int64)
-    if omega_f_grid.size == 0 or n_grid.size == 0:
-        raise ValueError("sweep grids must be non-empty")
-    if not np.all((omega_f_grid > 0.0) & (omega_f_grid < math.inf)):
-        raise ValueError("omega_f grid entries must be finite and positive")
-    if not np.all(n_grid >= 1):
-        raise ValueError("N grid entries must be >= 1")
-
-    degenerate = omega_f_grid == omega_start
-    skipped = int(degenerate.sum()) * int(n_grid.size)
-    omega_f = omega_f_grid[~degenerate]
+    omega_f = np.geomspace(0.05, 20.0, 200)
+    n_grid = np.arange(1, 201)
     norm = np.abs(omega_f - omega_start) / 2.0
     wanted = np.broadcast_to(True, (n_grid.size, omega_f.size))
     if at is not None:
@@ -326,7 +306,7 @@ def incoherent_region_sweep(
         points=np.column_stack([v_inv, rescaled]),
         bin_keys=bin_keys,
         bin_maxima=np.maximum.reduceat(rescaled[order], starts),
-        skipped=skipped,
+        skipped=0,
     )
 
 
@@ -341,3 +321,39 @@ def coherent_theory_curve(beta: float, n_values: np.ndarray) -> np.ndarray:
 def spam_bound_curve(beta: float, spam: SpamModel, n_values: np.ndarray) -> np.ndarray:
     """Rescaled worst-case readout-error correction at each step count of ``n_values``."""
     return spam_correction(ThermalSpec.from_beta(beta), spam, np.asarray(n_values)).rescaled
+
+
+def sigma_distance(value: float | np.ndarray, sigma: float | np.ndarray,
+                   reference_value: float | np.ndarray) -> float | np.ndarray:
+    """How many sigmas a measured value sits above a reference value, elementwise."""
+    if np.any(np.less_equal(sigma, 0.0)):
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+    return (value - reference_value) / sigma
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Measured points against both classical boundaries, one entry per point.
+
+    ``incoherent`` is the region sweep's maximum in each point's v^-1 bin,
+    from the cells of those bins alone; ``spam`` is ``spam_bound_curve`` at
+    each point's N, as in sweep.  ``delta_inc`` and ``delta_spam`` are the
+    distances above them in each point's ``sigma_delta``, the published
+    convention (rows 4-6 share the third point's sigma).
+    """
+
+    incoherent: np.ndarray
+    spam: np.ndarray
+    delta_inc: np.ndarray
+    delta_spam: np.ndarray
+
+
+def certificate(beta: float, spam: SpamModel, points: list[ReferencePoint]) -> Certificate:
+    v_inv = [point.v_inv for point in points]
+    sweep = incoherent_region_sweep(beta, at=v_inv)
+    incoherent = np.array([sweep.boundary_at(v) for v in v_inv])
+    bound = spam_bound_curve(beta, spam, [point.n_steps for point in points])
+    measured = np.array([point.nq_rescaled for point in points])
+    sigma = np.array([point.sigma_delta for point in points])
+    return Certificate(incoherent, bound, sigma_distance(measured, sigma, incoherent),
+                       sigma_distance(measured, sigma, bound))

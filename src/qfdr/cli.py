@@ -142,30 +142,17 @@ def run_sweep(config: RunConfig) -> int:
 
 
 def run_certify(config: RunConfig) -> int:
-    """Compare the bundled measured points against both classical boundaries.
-
-    Distances are expressed in each point's bundled sigma attribution (the
-    published convention; rows 4-6 share the third point's sigma) and the
-    pass flag requires both distances to reach the configured threshold.
-    The incoherent boundary is the binned sweep's maximum in each point's
-    v^-1 bin; the sweep evaluates only the cells of those six bins.  The
-    readout-error boundary is ``spam_bound_curve`` at the six N, as in sweep.
-    """
+    """The bundled measured points' ``analytics.certificate``, one row per
+    point; a point passes when both of its distances reach the threshold."""
     references = load_reference_points()
-    sweep = analytics.incoherent_region_sweep(config.beta, at=[ref.v_inv for ref in references])
-    spam_bounds = analytics.spam_bound_curve(
-        config.beta, _spam_model(config), [ref.n_steps for ref in references])
-
+    record = analytics.certificate(config.beta, _spam_model(config), references)
+    columns = zip(record.incoherent.tolist(), record.spam.tolist(),
+                  record.delta_inc.tolist(), record.delta_spam.tolist())
     rows = []
-    for ref, ref_spam in zip(references, spam_bounds.tolist()):
+    for ref, (ref_inc, ref_spam, delta_inc, delta_spam) in zip(references, columns):
         if abs(ref.v_inv - ref.n_steps / COHERENT_NORM_DH) > 0.05:
-            print(
-                f"note: abscissa {ref.v_inv} is not an integer multiple of sqrt(2); "
-                f"using n_steps={ref.n_steps}"
-            )
-        ref_inc = sweep.boundary_at(ref.v_inv)
-        delta_inc = stats.sigma_distance(ref.nq_rescaled, ref.sigma_delta, ref_inc)
-        delta_spam = stats.sigma_distance(ref.nq_rescaled, ref.sigma_delta, ref_spam)
+            print(f"note: abscissa {ref.v_inv} is not an integer multiple of sqrt(2); "
+                  f"using n_steps={ref.n_steps}")
         # both comparisons, not min(): a NaN distance fails whichever one it is
         passed = delta_inc >= config.threshold and delta_spam >= config.threshold
         rows.append({"v_inv": ref.v_inv, "nq_exp": ref.nq_rescaled, "sigma_delta": ref.sigma_delta,
@@ -173,11 +160,8 @@ def run_certify(config: RunConfig) -> int:
                      "delta_spam_sigma": delta_spam, "pass": passed})
     _write_rows(config, rows)
     for row in rows:
-        print(
-            f"  v_inv={row['v_inv']}: delta_inc={row['delta_inc_sigma']:.2f} "
-            f"delta_spam={row['delta_spam_sigma']:.2f} "
-            f"{'pass' if row['pass'] else 'FAIL'}"
-        )
+        print(f"  v_inv={row['v_inv']}: delta_inc={row['delta_inc_sigma']:.2f} "
+              f"delta_spam={row['delta_spam_sigma']:.2f} {'pass' if row['pass'] else 'FAIL'}")
     if not all(row["pass"] for row in rows):
         print(f"certification failure: certification failed at the {config.threshold} sigma "
               "threshold", file=sys.stderr)
@@ -215,7 +199,11 @@ def run_calibrate(config: RunConfig) -> int:
     for t in durations:
         observed = rng.binomial(config.shots, flip_probability(t)) / config.shots
         samples.append((float(t), float(observed)))
-    fitted = stats.calibrate_rotation_time(samples, config.target_theta)
+    try:
+        fitted = stats.calibrate_rotation_time(samples, config.target_theta)
+    except ValueError as error:
+        raise ConfigError(f"target_theta, shots: {error} at target_theta={config.target_theta!r} "
+                          f"with shots={config.shots}") from error
     rows = [
         {
             "target_theta": config.target_theta,

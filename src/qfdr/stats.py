@@ -1,9 +1,7 @@
 """Error analysis for measured work statistics.
 
-Covers the full certification pipeline: binomial parameter errors, the
-parametric bootstrap of the correction Q, the sigma distance of a measured
-value from a classical reference value (a plain float; the caller applies
-its threshold), a binned drift diagnostic, and the linear-regression
+Covers binomial parameter errors, the parametric bootstrap of the
+correction Q, a binned drift diagnostic, and the linear-regression
 calibration of rotation pulse durations.
 """
 
@@ -169,13 +167,6 @@ def estimate_from_samples(samples: WorkSampleSet) -> FdrEstimate:
     counts = np.bincount(samples.codes, minlength=samples.levels.size)
     excited = int(samples.first_excited_counts.sum())
     return _fit_histogram(samples.spec, samples.levels, counts, excited)
-
-
-def sigma_distance(value: float, sigma: float, reference_value: float) -> float:
-    """How many sigmas a measured value sits above a classical reference value."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    return (value - reference_value) / sigma
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ N-step protocol and is deliberately independent of the library's moment
 formulas.
 """
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -19,6 +20,7 @@ from qfdr.analytics import (
     SWEEP_BIN_WIDTH,
     SWEEP_OMEGA_START,
     FdrEstimate,
+    certificate,
     coherent_asymptote,
     coherent_theory_curve,
     delta_free_energy,
@@ -26,6 +28,7 @@ from qfdr.analytics import (
     incoherent_cumulants,
     incoherent_region_sweep,
     quantum_correction,
+    sigma_distance,
     spam_bound_curve,
     spam_correction,
 )
@@ -43,6 +46,7 @@ from qfdr.protocol import (
     step_table,
 )
 from qfdr.qubit import ThermalSpec
+from qfdr.reference import EXPERIMENT_BETA, EXPERIMENT_READOUT_ERROR, load_reference_points
 
 EXPERIMENT = ThermalSpec.from_beta(3.413)
 
@@ -449,25 +453,19 @@ class TestTemperatureProfile:
             self.profile([-0.5])
 
 
+# the sweep's one grid, N-major: N = 1 .. 200 by omega_end = geomspace(0.05, 20, 200)
+SWEEP_OMEGA_END = np.geomspace(0.05, 20.0, 200)
+SWEEP_N = np.arange(1, 201)
+CERTIFY_V_INV = [2.828, 4.243, 5.657, 7.071, 8.845, 9.899]
+
+
 class TestIncoherentRegionSweep:
-    def test_degenerate_grid_is_empty_with_warning_count(self):
-        result = incoherent_region_sweep(
-            3.413, omega_f_grid=np.array([1.0]), n_grid=np.arange(1, 6)
-        )
-        assert result.points.shape == (0, 2)
-        assert result.skipped == 5
-        assert len(result.points) + result.skipped == 5
-
     def test_default_grid_holds_no_degenerate_ramp(self):
-        """``sweep`` runs the default grid alone, and geomspace(0.05, 20, 200)
-        holds no omega_end equal to the sweep's omega_start of 1, so the
-        command never has a degenerate cell to report."""
+        """The one grid, geomspace(0.05, 20, 200), holds no omega_end equal
+        to the sweep's omega_start of 1, so no cell is degenerate and
+        ``skipped``, kept for the benchmark's grid-cell count, is 0."""
+        assert SWEEP_OMEGA_START not in SWEEP_OMEGA_END
         assert incoherent_region_sweep(3.413).skipped == 0
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
-    def test_rejects_non_finite_or_non_positive_grid_entries(self, bad):
-        with pytest.raises(ValueError, match="finite and positive"):
-            incoherent_region_sweep(3.413, omega_f_grid=np.array([2.0, bad]), n_grid=[1, 2])
 
     def test_boundary_anchor_at_experiment_bin(self):
         """The attainable incoherent region stays far below the first measured
@@ -478,10 +476,12 @@ class TestIncoherentRegionSweep:
         assert boundary <= 0.438 - 11 * 0.021
 
     def test_gap_increasing_points_are_non_negative(self):
-        grid = np.geomspace(1.01, 20.0, 50)
-        result = incoherent_region_sweep(3.413, omega_f_grid=grid, n_grid=np.arange(1, 30))
-        assert result.points.dtype == np.float64 and result.points.shape == (50 * 29, 2)
-        assert result.points[:, 1].min() >= -1e-9
+        """Columns 100-199 of the N-major (200, 200) point block are the
+        omega_end > 1 half of the grid."""
+        assert SWEEP_OMEGA_END[:100].max() < SWEEP_OMEGA_START < SWEEP_OMEGA_END[100:].min()
+        result = incoherent_region_sweep(3.413)
+        assert result.points.dtype == np.float64 and result.points.shape == (200 * 200, 2)
+        assert result.points.reshape(200, 200, 2)[:, 100:, 1].min() >= -1e-9
 
     def test_full_grid_contains_negative_points(self):
         # gap-decreasing members of the default grid dip below zero; in the
@@ -489,29 +489,28 @@ class TestIncoherentRegionSweep:
         # and stays positive
         result = incoherent_region_sweep(3.413)
         assert result.points[:, 1].min() < 0.0
-        for v_inv in (2.828, 4.243, 5.657, 7.071, 8.845, 9.899):
+        for v_inv in CERTIFY_V_INV:
             assert result.boundary_at(v_inv) > 0.0
 
     def test_boundary_covers_all_experiment_bins(self):
         result = incoherent_region_sweep(3.413)
-        for v_inv in (2.828, 4.243, 5.657, 7.071, 8.845, 9.899):
+        for v_inv in CERTIFY_V_INV:
             assert result.boundary_at(v_inv) > 0.0
 
     @pytest.mark.parametrize(
-        "beta, omega_f_grid, n_grid",
+        "beta, at",
         [
-            (3.413, np.array([0.5, 1.0, 2.0, 3.0]), np.arange(1, 30)),
-            (3.413, np.geomspace(0.05, 20.0, 50), np.array([7])),
-            (1.0, np.linspace(0.1, 0.9, 17), np.arange(1, 40)),
-            (0.0, np.array([0.3, 1.0, 4.0]), np.array([3, 1, 12])),
-            (3.413, None, None),
+            (3.413, None),
+            (1.0, None),
+            (0.0, None),
+            (3.413, CERTIFY_V_INV),
+            (1.0, [0.05, 26772.0, 1e6]),
         ],
     )
-    def test_bin_maxima_equal_brute_force_max(self, beta, omega_f_grid, n_grid):
-        result = incoherent_region_sweep(beta, omega_f_grid=omega_f_grid, n_grid=n_grid)
-        omega_size = 200 if omega_f_grid is None else omega_f_grid.size
-        n_size = 200 if n_grid is None else n_grid.size
-        assert len(result.points) + result.skipped == omega_size * n_size
+    def test_bin_maxima_equal_brute_force_max(self, beta, at):
+        result = incoherent_region_sweep(beta, at=at)
+        if at is None:
+            assert len(result.points) + result.skipped == SWEEP_OMEGA_END.size * SWEEP_N.size
         best = {}
         for v_inv, value in result.points.tolist():
             key = math.floor(v_inv / SWEEP_BIN_WIDTH)
@@ -527,17 +526,14 @@ class TestIncoherentRegionSweep:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         beta=st.floats(0.0, 10.0),
-        omega_f=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=12),
-        n_max=st.integers(1, 25),
         at=st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=6),
     )
-    @example(beta=3.413, omega_f=[1.0, 2.0, 19.39], n_max=20, at=[2.828, 500.0])
-    def test_restricted_sweep_is_the_full_sweeps_subset(self, beta, omega_f, n_max, at):
+    @example(beta=3.413, at=[2.828, 500.0])
+    def test_restricted_sweep_is_the_full_sweeps_subset(self, beta, at):
         """Restricted to the bins of ``at`` (some of them empty), the sweep
         returns exactly the full sweep's points, bins and maxima there."""
-        grids = dict(omega_f_grid=np.array(omega_f), n_grid=np.arange(1, n_max + 1))
-        full = incoherent_region_sweep(beta, **grids)
-        restricted = incoherent_region_sweep(beta, **grids, at=at)
+        full = incoherent_region_sweep(beta)
+        restricted = incoherent_region_sweep(beta, at=at)
         keys = {math.floor(v / SWEEP_BIN_WIDTH) for v in at}
         in_bins = [math.floor(v / SWEEP_BIN_WIDTH) in keys for v in full.points[:, 0].tolist()]
         assert restricted.points.tobytes() == full.points[in_bins].tobytes()
@@ -553,17 +549,56 @@ class TestIncoherentRegionSweep:
                     restricted.boundary_at(v)
 
     def test_missing_bin_raises(self):
-        result = incoherent_region_sweep(
-            3.413, omega_f_grid=np.array([2.0]), n_grid=np.array([1])
-        )
+        """A restricted sweep holds its own bins alone: the full sweep's bin
+        at v^-1 = 4.243 is missing from a sweep at 2.828."""
+        result = incoherent_region_sweep(3.413, at=[2.828])
+        assert incoherent_region_sweep(3.413).boundary_at(4.243) > 0.0
         with pytest.raises(KeyError):
-            result.boundary_at(500.0)
+            result.boundary_at(4.243)
 
-    def test_invalid_grids(self):
-        with pytest.raises(ValueError):
-            incoherent_region_sweep(3.413, omega_f_grid=np.array([]))
-        with pytest.raises(ValueError):
-            incoherent_region_sweep(3.413, omega_f_grid=np.array([-1.0]))
+
+class TestCertificate:
+    SPAM = SpamModel(EXPERIMENT_READOUT_ERROR, EXPERIMENT_READOUT_ERROR)
+
+    def test_one_float64_entry_per_point_in_a_frozen_record(self):
+        points = load_reference_points()
+        record = certificate(EXPERIMENT_BETA, self.SPAM, points)
+        for column in (record.incoherent, record.spam, record.delta_inc, record.delta_spam):
+            assert column.dtype == np.float64 and column.shape == (len(points),)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.spam = record.incoherent
+
+    def test_boundaries_are_the_full_sweep_and_the_spam_curve(self):
+        """``incoherent`` carries the full sweep's bin maxima bit for bit,
+        and ``spam`` the readout-error curve at each point's N."""
+        points = load_reference_points()
+        record = certificate(EXPERIMENT_BETA, self.SPAM, points)
+        full = incoherent_region_sweep(EXPERIMENT_BETA)
+        assert record.incoherent.tolist() == [full.boundary_at(p.v_inv) for p in points]
+        bounds = spam_bound_curve(EXPERIMENT_BETA, self.SPAM, [p.n_steps for p in points])
+        assert record.spam.tobytes() == bounds.tobytes()
+
+    def test_distances_are_the_scalar_sigma_distance_of_each_point(self):
+        points = load_reference_points()
+        record = certificate(EXPERIMENT_BETA, self.SPAM, points)
+        for i, p in enumerate(points):
+            assert record.delta_inc[i] == sigma_distance(
+                p.nq_rescaled, p.sigma_delta, float(record.incoherent[i]))
+            assert record.delta_spam[i] == sigma_distance(
+                p.nq_rescaled, p.sigma_delta, float(record.spam[i]))
+
+    def test_no_readout_error_gives_a_zero_spam_bound(self):
+        points = load_reference_points()
+        record = certificate(EXPERIMENT_BETA, SpamModel(0.0, 0.0), points)
+        assert not record.spam.any()
+        assert record.delta_spam.tolist() == [p.nq_rescaled / p.sigma_delta for p in points]
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.01])
+    def test_a_point_without_a_positive_sigma_raises(self, sigma):
+        points = load_reference_points()
+        points[3] = dataclasses.replace(points[3], sigma_delta=sigma)
+        with pytest.raises(ValueError, match="sigma must be > 0"):
+            certificate(EXPERIMENT_BETA, self.SPAM, points)
 
 
 def out_of_place_occupations(beta, omega_start, omega_end, n):
@@ -648,17 +683,12 @@ class TestInPlaceKernel:
 
     @pytest.mark.parametrize("beta", KERNEL_BETAS)
     def test_sweep_keeps_the_bits(self, beta):
-        grids = [
-            (np.geomspace(0.05, 20.0, 200), np.arange(1, 201)),
-            (np.array([0.3, 1.0, 4.0, 0.05]), np.array([129, 1, 8, 9, 128, 7])),
-        ]
-        for omega_f_grid, n_grid in grids:
-            for at in (None, [2.828, 4.243, 5.657, 7.071, 8.845, 9.899, 26772.0, 1e6]):
-                result = incoherent_region_sweep(beta, omega_f_grid, n_grid, at=at)
-                points, bin_keys, bin_maxima = out_of_place_sweep(beta, omega_f_grid, n_grid, at)
-                assert_same_bits(result.points, points)
-                assert_same_bits(result.bin_keys, bin_keys)
-                assert_same_bits(result.bin_maxima, bin_maxima)
+        for at in (None, [*CERTIFY_V_INV, 26772.0, 1e6]):
+            result = incoherent_region_sweep(beta, at=at)
+            points, bin_keys, bin_maxima = out_of_place_sweep(beta, SWEEP_OMEGA_END, SWEEP_N, at)
+            assert_same_bits(result.points, points)
+            assert_same_bits(result.bin_keys, bin_keys)
+            assert_same_bits(result.bin_maxima, bin_maxima)
 
     def test_step_table_keeps_fresh_occupations(self):
         """``step_table``'s incoherent occupations carry the reference's bits,
@@ -707,10 +737,6 @@ class TestInPlaceKernel:
                 assert_same_bits(result.points, serial[beta].points)
                 assert_same_bits(result.bin_keys, serial[beta].bin_keys)
                 assert_same_bits(result.bin_maxima, serial[beta].bin_maxima)
-
-    def test_rejects_non_positive_step_counts(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            incoherent_region_sweep(3.413, omega_f_grid=np.array([2.0]), n_grid=[3, 0])
 
 
 class TestScalingTrichotomy:

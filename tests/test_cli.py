@@ -11,12 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfdr import cli
-from qfdr.analytics import incoherent_region_sweep, quantum_correction
+from qfdr.analytics import incoherent_region_sweep, quantum_correction, spam_bound_curve
 from qfdr.cli import load_config, main
 from qfdr.config import COMMANDS, FORMATS, ConfigError, RunConfig, build_config, parse_document
 from qfdr.io import format_value, read_csv_table, read_samples, render_csv
-from qfdr.protocol import COHERENT, KINDS, ProtocolSpec
-from qfdr.reference import load_reference_points
+from qfdr.protocol import COHERENT, KINDS, ProtocolSpec, SpamModel
+from qfdr.reference import EXPERIMENT_BETA, EXPERIMENT_READOUT_ERROR, load_reference_points
 from qfdr.stats import bootstrap_q, estimate_from_samples
 from qfdr.qubit import ThermalSpec
 
@@ -318,6 +318,22 @@ class TestCertifyCommand:
         assert [row["ref_inc"] for row in rows] == \
             [format_value(full.boundary_at(ref.v_inv)) for ref in load_reference_points()]
 
+    def test_distances_are_the_rows_own_cells(self, tmp_path):
+        """Each distance cell is (nq_exp - ref) / sigma_delta of its row's
+        cells, in Python floats, and ref_spam is the readout-error bound at
+        the row's N."""
+        out = tmp_path / "certify.csv"
+        assert main(["certify", "--output", str(out)]) == 0
+        _, rows = read_csv_table(out)
+        references = load_reference_points()
+        spam = SpamModel(EXPERIMENT_READOUT_ERROR, EXPERIMENT_READOUT_ERROR)
+        bounds = spam_bound_curve(EXPERIMENT_BETA, spam, [ref.n_steps for ref in references])
+        assert [row["ref_spam"] for row in rows] == [format_value(b) for b in bounds.tolist()]
+        for row in rows:
+            nq_exp, sigma = float(row["nq_exp"]), float(row["sigma_delta"])
+            for ref, delta in (("ref_inc", "delta_inc_sigma"), ("ref_spam", "delta_spam_sigma")):
+                assert row[delta] == format_value((nq_exp - float(row[ref])) / sigma)
+
     def test_foreign_beta_rejected_with_exit_2(self, tmp_path, capsys):
         """The bundled points were measured at beta = 3.413; certifying them
         against boundaries at another temperature is refused."""
@@ -491,6 +507,17 @@ class TestExitCodes:
         assert main(["simulate", "--n-steps", "2,2", "--runs", "100", "--output", str(out)]) == 2
         assert "n_steps" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("theta, shots", [("0", "1"), ("0.05", "10")])
+    def test_calibration_without_a_slope_is_2(self, tmp_path, capsys, theta, shots):
+        """Bright counts that stay flat across the window fit no line, so the
+        target and shot count are refused by name and no file is written."""
+        out = tmp_path / "calibrate.csv"
+        assert main(["calibrate", "--target-theta", theta, "--shots", shots,
+                     "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "target_theta" in err and "shots" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize(

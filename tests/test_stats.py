@@ -14,6 +14,7 @@ from qfdr.analytics import (
     delta_free_energy,
     make_estimate,
     quantum_correction,
+    sigma_distance,
     spam_correction,
 )
 from qfdr.protocol import (
@@ -33,7 +34,6 @@ from qfdr.stats import (
     calibrate_rotation_time,
     drift_scan,
     estimate_from_samples,
-    sigma_distance,
 )
 
 EXPERIMENT = ThermalSpec.from_beta(3.413)
@@ -287,9 +287,20 @@ class TestSigmaDistance:
         assert distance >= 10.0
 
     def test_sigma_must_be_positive(self):
-        for sigma in (0.0, -0.01):
+        """At every entry: one bad sigma among good ones raises too."""
+        for sigma in (0.0, -0.01, np.array([0.02, 0.0, 0.03]), np.array([0.02, -0.01, 0.03])):
             with pytest.raises(ValueError, match="sigma must be > 0"):
                 sigma_distance(0.1, sigma, 0.05)
+
+    def test_arrays_are_the_scalar_call_entry_by_entry(self):
+        """One routine for one point and for the certificate's columns."""
+        values = np.array([0.438, 0.3, 0.581, -0.2])
+        sigmas = np.array([0.021, 0.05, 0.036, 1e-3])
+        references = np.array([0.039, 0.3, 0.21185323082010277, 0.1])
+        distances = sigma_distance(values, sigmas, references)
+        assert distances.dtype == np.float64 and distances.shape == (4,)
+        assert distances.tolist() == [sigma_distance(v, s, r) for v, s, r in
+                                      zip(values.tolist(), sigmas.tolist(), references.tolist())]
 
 
 class TestDriftScan:
