@@ -6,7 +6,10 @@ opens a comment at the start of a line or after whitespace, so a value such
 as ``out#1.csv`` keeps its '#'.
 Command-line flags override file keys one for one.  Unknown keys and
 out-of-range values are rejected with the offending key (and line, for file
-input) named in the error.
+input) named in the error.  ``simulate`` takes at most ``MAX_SIMULATE_STEPS``
+steps: its bootstrap builds the exact (W, K) law, (N(L-1)+1)(N+1) float64
+cells, in O(N^3) time.  A coherent N = 1000 took 9 s at a 98 MB peak RSS on
+a 2-core Xeon (incoherent: 3 s, 67 MB); N = 100000 would need 149 GiB.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ COMMANDS = ("simulate", "analytic", "sweep", "certify", "temperature-profile", "
 FORMATS = ("csv", "json")
 
 DEFAULT_BETAS = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+MAX_SIMULATE_STEPS = 1000
 
 
 def _key(requirement: str, check, flag_help: str | None = None, **default):
@@ -189,4 +193,7 @@ def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
               lines.get("format"))
     if config.command == "simulate" and len(set(config.n_steps)) < len(config.n_steps):
         _fail("n_steps", f"simulate writes one file per step count, got {config.n_steps}",
+              lines.get("n_steps"))
+    if config.command == "simulate" and max(config.n_steps) > MAX_SIMULATE_STEPS:
+        _fail("n_steps", f"simulate takes at most {MAX_SIMULATE_STEPS} steps, got {config.n_steps}",
               lines.get("n_steps"))

@@ -21,14 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocol import ProtocolSpec, SpamModel, WorkSampleSet, step_table
+from .protocol import BLOCK_RUNS, ProtocolSpec, SpamModel, WorkSampleSet, step_table
 from .qubit import ThermalSpec
 
 # the one text of a float: 17 significant digits, round-trip exact
 _FLOAT = "%.17g"
-
-# sample-file rows formatted per write: caps the text held at once
-_BLOCK_ROWS = 4096
 
 
 def format_value(value) -> str:
@@ -100,7 +97,7 @@ _SPAM_KEYS = {"spam_bright", "spam_dark"}
 
 def write_samples(path: Path, samples: WorkSampleSet) -> None:
     """One total per row, preceded by a comment header carrying the setup.
-    Rows are written ``_BLOCK_ROWS`` at a time, never the whole text at once."""
+    Rows are written ``BLOCK_RUNS`` at a time, never the whole text at once."""
     spec = samples.spec
     header = {
         "kind": spec.kind,
@@ -120,8 +117,8 @@ def write_samples(path: Path, samples: WorkSampleSet) -> None:
     with open(path, "w") as handle:
         handle.writelines(f"# {key}={format_value(value)}\n" for key, value in header.items())
         handle.write(",".join(SAMPLES_FIELDS) + "\n")
-        for start in range(0, samples.runs, _BLOCK_ROWS):
-            codes = samples.codes[start : start + _BLOCK_ROWS].tolist()
+        for start in range(0, samples.runs, BLOCK_RUNS):
+            codes = samples.codes[start : start + BLOCK_RUNS].tolist()
             handle.write("".join([f"{i},{level_text[c]}\n" for i, c in enumerate(codes, start)]))
 
 
@@ -135,12 +132,13 @@ def read_samples(path: Path) -> WorkSampleSet:
     file raises ``ValueError`` with the path in front of its message: a
     column-name line without ``total_work``, a total that is not a finite
     number or is no run total of the header's protocol, a header value that
-    does not parse or describes no protocol, a header that lacks a key or has
-    one of ``spam_bright`` and ``spam_dark`` without the other, ``runs`` below
-    1, a truncated or padded file, whose data rows differ in number from the
-    header's ``runs``, and a count vector (``first_excited_counts``,
-    ``flip_counts``) without one entry per step or with an entry outside
-    [0, ``runs``]: the header's counts are over all the runs it names.
+    does not parse or describes no protocol, a header that lacks a key,
+    repeats one or has one of ``spam_bright`` and ``spam_dark`` without the
+    other, ``runs`` below 1, a truncated or padded file, whose data rows
+    differ in number from the header's ``runs``, and a count vector
+    (``first_excited_counts``, ``flip_counts``) without one entry per step or
+    with an entry outside [0, ``runs``]: the header's counts are over all the
+    runs it names.
     """
     header: dict[str, str] = {}
     consumed = 0
@@ -151,6 +149,8 @@ def read_samples(path: Path) -> WorkSampleSet:
                 line = line.rstrip("\n")
                 if line.startswith("# ") and "=" in line:
                     key, _, value = line[2:].partition("=")
+                    if key in header:
+                        raise ValueError(f"header repeats {key}")
                     header[key] = value
                 elif line and not line.startswith("#"):
                     column = line.split(",").index("total_work")

@@ -21,7 +21,7 @@ total is just a sum of independent draws from the per-step tables.  One
 joint (work, first readout) law, ``StepTable``, serves ``sample_work``, the
 exact per-run law the bootstrap resamples and the readout-error bound.  Sampling
 uses a counter-based Philox stream partitioned per run and draws the runs in
-fixed blocks of ``_BLOCK_RUNS``, which the worker threads share; results are
+fixed blocks of ``BLOCK_RUNS``, which the worker threads share; results are
 bit-for-bit identical for any worker count, and the block size caps the
 sampler's memory.
 """
@@ -50,12 +50,10 @@ PROB_ATOL = 1e-12
 # consumes one word, so per-run draw budgets must be a multiple of 4.
 _PHILOX_BLOCK = 4
 
-# Runs drawn per block of ``sample_work``'s sampler: each block holds a few
-# arrays of _BLOCK_RUNS x N cells, not of runs x N.
-_BLOCK_RUNS = 4096
-
-# Run totals per block of ``StepTable.level_sums``, which caps its temporaries
-_BLOCK_TOTALS = 16384
+# Runs per block of every per-run loop: ``sample_work``'s sampler (a few arrays
+# of BLOCK_RUNS x N cells, not of runs x N), ``StepTable.level_sums`` and
+# ``io.write_samples``, whose temporaries it caps.
+BLOCK_RUNS = 4096
 
 
 @dataclass(frozen=True)
@@ -172,25 +170,23 @@ class StepTable:
     def level_sums(self, totals: np.ndarray) -> np.ndarray:
         """Level sum of each run total: the exact inverse of ``total_work`` on its grid.
 
-        A binary search in the sorted grid, between the least and greatest total,
-        never divides by the step, which is zero on a flat ramp.  A total that is
-        not bit for bit a grid value raises ``ValueError`` naming its row.
+        i = rint((t - total_work(0)) / step), clipped to the grid [0, N(L-1)], is
+        kept only where ``total_work(i)`` gives t back bit for bit; any other total
+        raises ``ValueError`` naming its row.  The rounding is exact for every table
+        ``step_table`` builds: its works are -1, 0, 1 (step 1) or -delta/2, delta/2
+        (step delta), so the quotient is off by about N eps, far below 1/2.  A flat
+        ramp (step 0) has one total, of level sum 0, and divides by nothing.
         """
         n, levels, _ = self.probs.shape
-        grid = self.total_work(np.arange(n * (levels - 1) + 1))
-        order = np.argsort(grid, kind="stable")
-        grid = grid[order]
-        lo, hi = np.searchsorted(grid, [totals.min(), totals.max()]).clip(max=grid.size - 1)
-        grid, order = grid[lo : hi + 1], order[lo : hi + 1]
-        bits = grid.view(np.int64)
-        sums = np.empty(totals.size, dtype=np.intp)
-        for start in range(0, totals.size, _BLOCK_TOTALS):
-            block = totals[start : start + _BLOCK_TOTALS]
-            at = np.searchsorted(grid, block)
-            if (off := np.take(bits, at, mode="clip") != block.view(np.int64)).any():
+        origin, step = self.total_work(0), self.works[1] - self.works[0]
+        sums = np.zeros(totals.size, dtype=np.intp)
+        for start in range(0, totals.size, BLOCK_RUNS):
+            block, found = totals[start : start + BLOCK_RUNS], sums[start : start + BLOCK_RUNS]
+            if step:
+                found[:] = np.clip(np.rint((block - origin) / step), 0, n * (levels - 1))
+            if (off := self.total_work(found).view(np.int64) != block.view(np.int64)).any():
                 row = start + off.argmax()
                 raise ValueError(f"total {totals[row]} at row {row} is not a run total")
-            np.take(order, at, out=sums[start : start + block.size], mode="clip")
         return sums
 
     def mean(self) -> float:
@@ -386,7 +382,7 @@ def sample_work(
     Each step draws its (work, first readout) cell from ``step_table`` with
     one uniform (SPAM-perturbed when ``spam`` is given).  Each run owns a
     fixed slice of a counter-based random stream, and the runs are drawn in
-    fixed blocks of ``_BLOCK_RUNS``, so the totals do not depend on
+    fixed blocks of ``BLOCK_RUNS``, so the totals do not depend on
     ``workers``: it only sets how many threads (at most ``os.cpu_count()``)
     take the blocks, each the next free one.
     """
@@ -397,10 +393,10 @@ def sample_work(
     from concurrent.futures import ThreadPoolExecutor  # on first use: only simulate starts threads
 
     table = step_table(spec, spam)
-    starts = range(0, runs, _BLOCK_RUNS)
+    starts = range(0, runs, BLOCK_RUNS)
     with ThreadPoolExecutor(max_workers=min(workers, len(starts), os.cpu_count() or 1)) as pool:
         results = list(pool.map(
-            lambda start: _sample_block(table, seed, start, min(_BLOCK_RUNS, runs - start)), starts))
+            lambda start: _sample_block(table, seed, start, min(BLOCK_RUNS, runs - start)), starts))
     level_sums, first_counts, flip_counts = zip(*results)
     return WorkSampleSet.from_level_sums(
         table, np.concatenate(level_sums),

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from qfdr import cli
 from qfdr.analytics import incoherent_region_sweep, quantum_correction, spam_bound_curve
 from qfdr.cli import load_config, main
-from qfdr.config import COMMANDS, FORMATS, ConfigError, RunConfig, build_config, parse_document
+from qfdr.config import (COMMANDS, FORMATS, MAX_SIMULATE_STEPS, ConfigError, RunConfig,
+                         build_config, parse_document)
 from qfdr.io import format_value, read_csv_table, read_samples, render_csv
 from qfdr.protocol import COHERENT, KINDS, ProtocolSpec, SpamModel
 from qfdr.reference import EXPERIMENT_BETA, EXPERIMENT_READOUT_ERROR, load_reference_points
@@ -505,6 +506,23 @@ class TestExitCodes:
         repeated one would overwrite its own output."""
         out = tmp_path / "samples.csv"
         assert main(["simulate", "--n-steps", "2,2", "--runs", "100", "--output", str(out)]) == 2
+        assert "n_steps" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_simulate_step_cap_is_accepted(self):
+        config = build_config(overrides={"command": "simulate", "n_steps": [MAX_SIMULATE_STEPS]})
+        assert config.n_steps == [MAX_SIMULATE_STEPS]
+
+    @pytest.mark.parametrize("n_steps", [str(MAX_SIMULATE_STEPS + 1), "100000", "2,100000"])
+    def test_simulate_above_step_cap_is_2(self, tmp_path, capsys, monkeypatch, n_steps):
+        """The bootstrap's exact law grows as N^2 cells in N^3 time, so a step
+        count above the cap is refused before any run is drawn."""
+        def draw(*args, **kwargs):
+            raise AssertionError("simulate drew runs")
+
+        monkeypatch.setattr(cli, "sample_work", draw)
+        out = tmp_path / "samples.csv"
+        assert main(["simulate", "--n-steps", n_steps, "--runs", "5", "--output", str(out)]) == 2
         assert "n_steps" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 

@@ -251,6 +251,12 @@ def _set_total(text):
     return lambda lines: lines[:-2] + [lines[-2].split(",")[0] + "," + text, lines[-1]]
 
 
+def _repeat_header(key, value):
+    """An edit that adds a second ``key`` line, with ``value``, after the first."""
+    return lambda lines: [copy for line in lines for copy in
+                          ([line, f"# {key}={value}"] if line.startswith(f"# {key}=") else [line])]
+
+
 def _no_runs(lines):
     """An edit that leaves a samples file with runs=0, zero counts and no data rows."""
     for key, value in (("runs", "0"), ("first_excited_counts", "0,0,0"), ("flip_counts", "0,0,0")):
@@ -350,18 +356,23 @@ class TestSamplesFileFormat:
             (_set_total("0.5"), "total 0.5 at row 48 is not a run total$"),
             (_set_total("2.5"), "total 2.5 at row 48 is not a run total$"),
             (_set_total("1e6"), "total 1000000.0 at row 48 is not a run total$"),
+            (_set_total("1.0000000000000002"),
+             "total 1.0000000000000002 at row 48 is not a run total$"),
+            (_repeat_header("beta", "0.5"), "header repeats beta$"),
         ]),
         (DESCENDING_N3, _set_total("0"), "total 0.0 at row 48 is not a run total$"),
     ], ids=["truncated", "padded", "short-first-excited", "long-flips", "no-total-column",
             "n-steps-word", "seed-fraction", "runs-word", "beta-word", "unknown-kind",
             "count-word", "total-word", "negative-count", "count-above-runs", "nan-total",
             "inf-total", "minus-inf-total", "runs-zero", "total-0.5", "total-2.5", "total-1e6",
-            "descending-total-0"])
+            "total-one-ulp-above-1", "repeated-beta", "descending-total-0"])
     def test_inconsistent_file_rejected(self, tmp_path, spec, edit, message):
         """The header's counts are over all the runs it names, so a file whose
         rows or count vectors disagree with it would bias the estimate, as
-        would a total that no run of its protocol can produce; and every
-        malformed file is rejected with its path named once, in front."""
+        would a total that no run of its protocol can produce (even one ulp
+        off a grid total) or a header key set twice, of which no copy may
+        win; and every malformed file is rejected with its path named once,
+        in front."""
         path = tmp_path / "samples.csv"
         self._write_plain(path, spec=spec)
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")

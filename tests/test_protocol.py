@@ -16,7 +16,7 @@ from qfdr.analytics import incoherent_correction, incoherent_cumulants, quantum_
 from qfdr.cli import main
 from qfdr.io import read_samples, write_samples
 from qfdr.protocol import (
-    _BLOCK_RUNS,
+    BLOCK_RUNS,
     COHERENT,
     COHERENT_NORM_DH,
     INCOHERENT,
@@ -291,7 +291,7 @@ class TestSampleWork:
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = ProtocolSpec(COHERENT, 4, EXPERIMENT)
-        runs = 3 * _BLOCK_RUNS
+        runs = 3 * BLOCK_RUNS
         serial = sample_work(spec, None, runs, seed=9)
         capped = sample_work(spec, None, runs, seed=9, workers=16)
         assert pool_sizes == [1, 2]
@@ -301,9 +301,9 @@ class TestSampleWork:
 
     @pytest.mark.parametrize("workers", [1, 3, 16])
     def test_pool_maps_one_call_per_block(self, monkeypatch, workers):
-        """The pool draws ceil(runs / _BLOCK_RUNS) blocks of consecutive runs,
+        """The pool draws ceil(runs / BLOCK_RUNS) blocks of consecutive runs,
         whatever the worker count."""
-        runs = 2 * _BLOCK_RUNS + 1
+        runs = 2 * BLOCK_RUNS + 1
         drawn = []
         draw = protocol._sample_block
 
@@ -314,9 +314,9 @@ class TestSampleWork:
         monkeypatch.setattr(protocol, "_sample_block", recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         sample_work(ProtocolSpec(COHERENT, 4, EXPERIMENT), None, runs, seed=9, workers=workers)
-        assert len(drawn) == -(-runs // _BLOCK_RUNS)
-        assert sorted(drawn) == [(start, min(_BLOCK_RUNS, runs - start))
-                                 for start in range(0, runs, _BLOCK_RUNS)]
+        assert len(drawn) == -(-runs // BLOCK_RUNS)
+        assert sorted(drawn) == [(start, min(BLOCK_RUNS, runs - start))
+                                 for start in range(0, runs, BLOCK_RUNS)]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -337,7 +337,7 @@ class TestSampleWork:
             spec = ProtocolSpec(COHERENT, n_steps, EXPERIMENT)
         serial = sample_work(spec, spam, runs, seed)
         with mock.patch("os.cpu_count", return_value=8), \
-                mock.patch.object(protocol, "_BLOCK_RUNS", 64):
+                mock.patch.object(protocol, "BLOCK_RUNS", 64):
             parallel = sample_work(spec, spam, runs, seed, workers=workers)
         np.testing.assert_array_equal(serial.levels, parallel.levels)
         np.testing.assert_array_equal(serial.codes, parallel.codes)
@@ -352,7 +352,7 @@ class TestSampleWork:
             spec, spam = ProtocolSpec(INCOHERENT, 26, EXPERIMENT, 1.0, 19.39), None
         else:
             spec, spam = ProtocolSpec(COHERENT, 10, EXPERIMENT), SpamModel(0.004, 0.01)
-        runs = 2 * _BLOCK_RUNS + 3
+        runs = 2 * BLOCK_RUNS + 3
         with mock.patch("os.cpu_count", return_value=8):
             serial = sample_work(spec, spam, runs, seed=21, workers=1)
             parallel = sample_work(spec, spam, runs, seed=21, workers=3)
@@ -498,6 +498,12 @@ class TestFromLevelSums:
         assert samples.levels.tobytes() == levels.tobytes()
 
     @given(tables_and_sums())
+    # sizes never drawn: a coherent N = 100,000 grid's first, middle and last
+    # totals, and every total of a descending N = 10,000 ramp
+    @example((step_table(ProtocolSpec(COHERENT, 100_000, EXPERIMENT)),
+              np.array([0, 100_000, 200_000])))
+    @example((step_table(ProtocolSpec(INCOHERENT, 10_000, EXPERIMENT, 20.0, 0.05)),
+              np.arange(10_001)))
     @settings(max_examples=150, deadline=None)
     def test_level_sums_invert_total_work(self, case):
         """Every grid total maps back to a level sum with that very total; a
