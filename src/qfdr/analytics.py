@@ -281,6 +281,7 @@ def incoherent_region_sweep(beta: float, at: list[float] | np.ndarray | None = N
     depends on its own omega_end only, so the returned points, bins and
     ``boundary_at`` there carry the full sweep's bits.
     """
+    beta = ThermalSpec.from_beta(beta).beta  # capped at BETA_CAP, as the other sweep curves
     omega_start = SWEEP_OMEGA_START
     omega_f = np.geomspace(0.05, 20.0, 200)
     n_grid = np.arange(1, 201)

@@ -195,12 +195,9 @@ def run_calibrate(config: RunConfig) -> int:
     true_duration = config.target_theta
     window = 0.1
     durations = np.linspace(true_duration - window, true_duration + window, 5)
-    samples = []
-    for t in durations:
-        observed = rng.binomial(config.shots, flip_probability(t)) / config.shots
-        samples.append((float(t), float(observed)))
+    bright = rng.binomial(config.shots, [flip_probability(t) for t in durations]) / config.shots
     try:
-        fitted = stats.calibrate_rotation_time(samples, config.target_theta)
+        fitted = stats.calibrate_rotation_time(durations, bright, config.target_theta)
     except ValueError as error:
         raise ConfigError(f"target_theta, shots: {error} at target_theta={config.target_theta!r} "
                           f"with shots={config.shots}") from error

@@ -59,18 +59,12 @@ def _beta_from_frequency(p_hat: float) -> float:
 
 @dataclass(frozen=True)
 class BootstrapReport:
-    """Spread of the correction across regenerated synthetic datasets."""
+    """Spread of the correction across regenerated synthetic datasets, and
+    ``sigma_rescaled``, its error on the plotted scale, N sigma_Q / |dH|."""
 
-    resamples: int
     q_values: np.ndarray
     sigma_q: float
-    n_steps: int
-    norm_dh: float
-
-    @property
-    def sigma_rescaled(self) -> float:
-        """Bootstrap error on the plotted scale, N sigma_Q / |dH|."""
-        return self.n_steps * self.sigma_q / self.norm_dh if self.norm_dh > 0.0 else 0.0
+    sigma_rescaled: float
 
 
 def _fit_histogram(
@@ -131,8 +125,9 @@ def bootstrap_q(
     runs in ``estimate_from_samples``.  Resamples are drawn and refitted in
     stacked blocks of at most about ``_BLOCK_CELLS`` (resample, support)
     cells; one draw of k resamples reads the stream as k single draws do.
-    sigma_q is the sample standard deviation of the Q values.  Draws use the
-    Philox key (seed, 1), apart from the (seed, 0) stream of ``sample_work``.
+    sigma_q is the sample standard deviation of the Q values, and
+    sigma_rescaled is 0 when |dH| = 0.  Draws use the Philox key (seed, 1),
+    apart from the (seed, 0) stream of ``sample_work``.
     """
     if resamples < 2:
         raise ValueError(f"resamples must be >= 2, got {resamples}")
@@ -140,7 +135,8 @@ def bootstrap_q(
         raise ValueError(f"runs must be >= 1, got {runs}")
     spec = ProtocolSpec(kind, n_steps, thermal, omega_start, omega_end)
     totals, excited, probs = run_distribution(step_table(spec, spam))
-    rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
+    # the key words (seed, 1) as one exact integer; a list makes seeds >= 2**63 float64
+    rng = np.random.Generator(np.random.Philox(key=seed + (1 << 64)))
     block = max(1, _BLOCK_CELLS // totals.size)
     q_values = []
     for start in range(0, resamples, block):
@@ -148,13 +144,9 @@ def bootstrap_q(
         q_values.append(_fit_histogram(spec, totals, counts, counts @ excited).q_value)
 
     q_values = np.concatenate(q_values)
-    return BootstrapReport(
-        resamples=resamples,
-        q_values=q_values,
-        sigma_q=float(q_values.std(ddof=1)),
-        n_steps=n_steps,
-        norm_dh=spec.norm_dh,
-    )
+    sigma_q = float(q_values.std(ddof=1))
+    sigma_rescaled = n_steps * sigma_q / spec.norm_dh if spec.norm_dh > 0.0 else 0.0
+    return BootstrapReport(q_values, sigma_q, sigma_rescaled)
 
 
 def estimate_from_samples(samples: WorkSampleSet) -> FdrEstimate:
@@ -213,20 +205,19 @@ def drift_scan(outcomes: np.ndarray, bin_size: int) -> DriftReport:
 
 
 def calibrate_rotation_time(
-    samples: list[tuple[float, float]], target_theta: float
+    durations: np.ndarray, probabilities: np.ndarray, target_theta: float
 ) -> float:
     """Pulse duration reaching a target rotation angle, by linear regression.
 
     The bright probability follows the Rabi law, flip_probability(Omega t);
     over a narrow window of durations (at most ~0.2 rad of phase) it is
     effectively linear, so an ordinary least-squares line through the given
-    (duration, probability) points is solved for the duration where it
-    reaches flip_probability(theta).  Callers keep the samples near the target.
+    (duration, probability) points, one entry of each 1-D array per point,
+    is solved for the duration where it reaches flip_probability(theta).
+    Callers keep the durations near the target.
     """
-    if len(samples) < 2:
-        raise ValueError("need at least two calibration samples")
-    durations = np.array([t for t, _ in samples], dtype=np.float64)
-    probabilities = np.array([p for _, p in samples], dtype=np.float64)
+    if np.shape(durations) != np.shape(probabilities) or np.size(durations) < 2:
+        raise ValueError("need at least two calibration points, one probability per duration")
     if np.ptp(durations) == 0.0:
         raise ValueError("singular design: all durations are equal")
     slope, intercept = np.polyfit(durations, probabilities, 1)

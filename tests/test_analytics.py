@@ -45,7 +45,7 @@ from qfdr.protocol import (
     run_distribution,
     step_table,
 )
-from qfdr.qubit import ThermalSpec
+from qfdr.qubit import BETA_CAP, ThermalSpec
 from qfdr.reference import EXPERIMENT_BETA, EXPERIMENT_READOUT_ERROR, load_reference_points
 
 EXPERIMENT = ThermalSpec.from_beta(3.413)
@@ -496,6 +496,13 @@ class TestIncoherentRegionSweep:
         result = incoherent_region_sweep(3.413)
         for v_inv in CERTIFY_V_INV:
             assert result.boundary_at(v_inv) > 0.0
+
+    @pytest.mark.parametrize("beta", [2000.0, 1e300])
+    def test_beta_is_capped_as_the_curves_cap_it(self, beta):
+        """Above ``BETA_CAP`` the sweep is the capped sweep, bit for bit, as the
+        coherent and readout-error curves beside it in ``sweep`` are."""
+        capped = incoherent_region_sweep(BETA_CAP)
+        assert incoherent_region_sweep(beta).bin_maxima.tobytes() == capped.bin_maxima.tobytes()
 
     @pytest.mark.parametrize(
         "beta, at",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from qfdr import cli
 from qfdr.analytics import incoherent_region_sweep, quantum_correction, spam_bound_curve
@@ -19,7 +20,7 @@ from qfdr.io import format_value, read_csv_table, read_samples, render_csv
 from qfdr.protocol import COHERENT, KINDS, ProtocolSpec, SpamModel
 from qfdr.reference import EXPERIMENT_BETA, EXPERIMENT_READOUT_ERROR, load_reference_points
 from qfdr.stats import bootstrap_q, estimate_from_samples
-from qfdr.qubit import ThermalSpec
+from qfdr.qubit import ThermalSpec, flip_probability
 
 # a valid value for every key but command; certify is left out of the
 # commands because it accepts only the measured beta
@@ -292,6 +293,25 @@ class TestSweepCommand:
         _, rows = read_csv_table(out)
         assert all(r["provenance"] != "experiment" for r in rows)
 
+    def test_beta_above_the_cap_writes_the_capped_file(self, tmp_path):
+        """Every row group takes beta capped at ``BETA_CAP``: the incoherent
+        rows once grew with a beta that the curves beside them capped."""
+        files = []
+        for beta in ("1000", "2000", "1e300"):
+            out = tmp_path / f"sweep_{beta}.csv"
+            assert main(["sweep", "--beta", beta, "--output", str(out)]) == 0
+            files.append(out.read_bytes())
+        assert files[1] == files[0] and files[2] == files[0]
+
+    def test_cap_leaves_the_default_file_alone(self, tmp_path, monkeypatch):
+        """The cap binds nowhere at the default beta, so the file is the one
+        written with no cap at all."""
+        capped, uncapped = tmp_path / "capped.csv", tmp_path / "uncapped.csv"
+        assert main(["sweep", "--output", str(capped)]) == 0
+        monkeypatch.setattr(ThermalSpec, "from_beta", classmethod(lambda cls, beta: cls(beta)))
+        assert main(["sweep", "--output", str(uncapped)]) == 0
+        assert capped.read_bytes() == uncapped.read_bytes()
+
 
 class TestCertifyCommand:
     def test_all_points_certified(self, tmp_path):
@@ -403,6 +423,31 @@ class TestCalibrateCommand:
         assert len(rows) == 1
         assert abs(float(rows[0]["error"])) < 0.02
         np.testing.assert_allclose(float(rows[0]["true_duration"]), math.pi / 2.0, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv", [["--seed", "11"], ["--seed", "3", "--shots", "1000", "--target-theta", "0.7"]],
+        ids=["seed-11", "seed-3"])
+    def test_row_is_the_per_duration_fit(self, tmp_path, argv):
+        """One vector draw reads the stream as one scalar draw per duration
+        did, so the row is that of a (duration, fraction) list fitted by a
+        least-squares line, cell for cell."""
+        out = tmp_path / "calibrate.csv"
+        assert main(["calibrate", *argv, "--output", str(out)]) == 0
+        config = load_config(["calibrate", *argv])
+        rng = Generator(Philox(key=config.seed))
+        durations = np.linspace(config.target_theta - 0.1, config.target_theta + 0.1, 5)
+        samples = []
+        for t in durations:
+            observed = rng.binomial(config.shots, flip_probability(t)) / config.shots
+            samples.append((float(t), float(observed)))
+        slope, intercept = np.polyfit(np.array([t for t, _ in samples], dtype=np.float64),
+                                      np.array([p for _, p in samples], dtype=np.float64), 1)
+        fitted = float((flip_probability(config.target_theta) - intercept) / slope)
+        expected = {"target_theta": config.target_theta, "shots": config.shots,
+                    "seed": config.seed, "true_duration": config.target_theta,
+                    "fitted_duration": fitted, "error": fitted - config.target_theta}
+        _, rows = read_csv_table(out)
+        assert rows == [{key: format_value(value) for key, value in expected.items()}]
 
 
 class TestDeterminismAndStability:

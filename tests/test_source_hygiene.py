@@ -3,13 +3,13 @@ no unused import, no unreferenced module-level name, no defaulted parameter
 that no call passes, a package ``__init__`` that imports nothing and binds
 only ``__version__``, no definition that neither a command nor a listed
 outside entry point reaches, no private name read across modules, one Rabi
-law (``math.sin`` in ``qubit.py`` alone), and the names and parameters that
-the benchmark's tracer looks up; and, run in fresh interpreters, every
-module importable alone and no command loading a module it does not use.
-Public names count as used when the package, its tests or the benchmark
-harness read them; a defaulted parameter counts as passed only when the
-package or the benchmark harness passes it, since a knob that only tests
-turn is no option."""
+law (``math.sin`` in ``qubit.py`` alone), no stream key given as a list, and
+the names and parameters that the benchmark's tracer looks up; and, run in
+fresh interpreters, every module importable alone and no command loading a
+module it does not use.  Public names count as used when the package, its
+tests or the benchmark harness read them; a defaulted parameter counts as
+passed only when the package or the benchmark harness passes it, since a
+knob that only tests turn is no option."""
 
 import ast
 import os
@@ -130,6 +130,20 @@ def test_rabi_law_lives_in_qubit_alone():
                if getattr(node, "module", None) == "math" and bound == "sin"}
     assert callers == {"qubit.py"} and not imports, \
         f"math.sin called in {sorted(callers)}, imported bare in {sorted(imports)}"
+
+
+def test_every_stream_key_is_an_exact_integer():
+    """No ``Philox(...)`` in the package takes ``key=`` as a list or tuple
+    display: numpy builds such a key through an array, which is float64 once
+    an entry reaches 2**63 and so rounds the seed, where an integer key is
+    exact to 128 bits."""
+    displays = [f"{name}:{node.lineno}" for name, tree in SOURCES.items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Philox"
+                for keyword in node.keywords
+                if keyword.arg == "key" and isinstance(keyword.value, (ast.List, ast.Tuple))]
+    assert not displays, f"Philox keys given as a list or tuple display: {displays}"
 
 
 def test_package_binds_only_its_version():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -43,7 +44,7 @@ def bootstrap_one_at_a_time(spec, spam, runs, resamples, seed):
     """Reference bootstrap: one multinomial draw and one scalar refit per
     resample, with 1-D dot products, as the resamples were once refitted."""
     totals, excited, probs = run_distribution(step_table(spec, spam))
-    rng = Generator(Philox(key=[seed, 1]))
+    rng = Generator(Philox(key=seed + (1 << 64)))
     q_values = []
     for _ in range(resamples):
         counts = rng.multinomial(runs, probs)
@@ -130,7 +131,7 @@ class TestBootstrapQ:
     def test_mean_is_unbiased(self):
         report = bootstrap_q(EXPERIMENT, 2, 8000, resamples=200, seed=17)
         analytic = quantum_correction(ProtocolSpec(COHERENT, 2, EXPERIMENT)).q_value
-        tolerance = 3.0 * report.sigma_q / math.sqrt(report.resamples)
+        tolerance = 3.0 * report.sigma_q / math.sqrt(report.q_values.size)
         assert abs(report.q_values.mean() - analytic) < tolerance
 
     def test_sigma_shrinks_as_inverse_sqrt_runs(self):
@@ -167,6 +168,34 @@ class TestBootstrapQ:
         report = bootstrap_q(EXPERIMENT, n_steps, 8000, seed=100, kind=kind,
                              omega_start=1.0, omega_end=omega_end, spam=spam)
         assert abs(report.sigma_rescaled / spread - 1.0) <= 0.3
+
+
+class TestBootstrapStreamKey:
+    """The bootstrap stream is keyed by the exact words (seed, 1) at every
+    seed below 2**64: a key list [seed, 1] turned seeds >= 2**63 into float64,
+    so 2**64 - 1 drew seed 0's stream and 2**63 + 1 that of 2**63."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
+    def test_key_is_the_word_pair_below_two_to_the_63(self, seed):
+        keys = []
+
+        def recording_philox(**kwargs):
+            bit_generator = Philox(**kwargs)
+            keys.append(bit_generator.state)
+            return bit_generator
+
+        with mock.patch.object(np.random, "Philox", recording_philox):
+            bootstrap_q(EXPERIMENT, 2, 100, resamples=3, seed=seed)
+        assert len(keys) == 1
+        np.testing.assert_equal(keys[0], Philox(key=[seed, 1]).state)
+
+    @pytest.mark.parametrize("first, second", [(0, 2**64 - 1), (2**63, 2**63 + 1)])
+    def test_seeds_that_share_a_float_draw_apart(self, first, second):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = bootstrap_q(EXPERIMENT, 3, 2000, resamples=50, seed=first)
+            b = bootstrap_q(EXPERIMENT, 3, 2000, resamples=50, seed=second)
+        assert a.q_values.tobytes() != b.q_values.tobytes()
 
 
 class TestBootstrapBits:
@@ -341,32 +370,28 @@ class TestDriftScan:
 
 
 class TestCalibrateRotationTime:
-    @staticmethod
-    def noiseless_samples(center, width=0.08, count=5):
-        times = np.linspace(center - width, center + width, count)
-        return [(float(t), math.sin(t / 2.0) ** 2) for t in times]
-
     def test_self_consistent_at_quarter_turn(self):
-        samples = self.noiseless_samples(math.pi / 2.0)
-        fitted = calibrate_rotation_time(samples, math.pi / 2.0)
+        times = np.linspace(math.pi / 2.0 - 0.08, math.pi / 2.0 + 0.08, 5)
+        fitted = calibrate_rotation_time(times, np.sin(times / 2.0) ** 2, math.pi / 2.0)
         assert abs(fitted - math.pi / 2.0) < 1e-3
 
     def test_zero_angle_target(self):
         times = np.linspace(0.0, 0.02, 5)
-        samples = [(float(t), math.sin(t / 2.0) ** 2) for t in times]
-        fitted = calibrate_rotation_time(samples, 0.0)
+        fitted = calibrate_rotation_time(times, np.sin(times / 2.0) ** 2, 0.0)
         assert abs(fitted) < 0.01
 
     def test_exact_on_linear_data(self):
-        samples = [(0.9, 0.45), (1.1, 0.55)]
-        fitted = calibrate_rotation_time(samples, math.pi / 2.0)
+        fitted = calibrate_rotation_time(np.array([0.9, 1.1]), np.array([0.45, 0.55]),
+                                         math.pi / 2.0)
         np.testing.assert_allclose(fitted, 1.0, rtol=1e-12)
 
     def test_singular_design_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_rotation_time([(1.0, 0.4), (1.0, 0.6)], 1.0)
-        with pytest.raises(ValueError):
-            calibrate_rotation_time([(1.0, 0.4)], 1.0)
+        with pytest.raises(ValueError, match="all durations are equal"):
+            calibrate_rotation_time(np.array([1.0, 1.0]), np.array([0.4, 0.6]), 1.0)
+        with pytest.raises(ValueError, match="at least two"):
+            calibrate_rotation_time(np.array([1.0]), np.array([0.4]), 1.0)
+        with pytest.raises(ValueError, match="one probability per duration"):
+            calibrate_rotation_time(np.array([0.9, 1.0, 1.1]), np.array([0.4, 0.6]), 1.0)
 
     def test_recovery_under_binomial_noise(self):
         """100 noisy calibrations at 5000 shots: nearly all within 3 propagated
@@ -379,15 +404,14 @@ class TestCalibrateRotationTime:
         covariance_scale = np.linalg.inv(design.T @ design)
         hits = 0
         for _ in range(100):
-            samples = []
+            observed = np.empty_like(times)
             sigma2 = 0.0
-            for t in times:
+            for i, t in enumerate(times):
                 p = math.sin(t / 2.0) ** 2
-                observed = rng.binomial(shots, p) / shots
-                samples.append((float(t), float(observed)))
+                observed[i] = rng.binomial(shots, p) / shots
                 sigma2 += p * (1.0 - p) / shots
             sigma2 /= len(times)
-            fitted = calibrate_rotation_time(samples, target)
+            fitted = calibrate_rotation_time(times, observed, target)
             slope = 0.5 * math.sin(target)
             # propagated error of the crossing point of the fitted line
             se = math.sqrt(sigma2 * (covariance_scale[0, 0] * target**2
