@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 
-from .protocol import COHERENT, INCOHERENT, KINDS
+from .protocol import COHERENT, INCOHERENT, KINDS, MAX_GAP
 from .reference import EXPERIMENT_BETA, EXPERIMENT_READOUT_ERROR, EXPERIMENT_RUNS
 
 
@@ -55,8 +55,10 @@ class RunConfig:
                               "step count, or comma list for batch jobs",
                               default_factory=lambda: [2])
     beta: float = _key("must be >= 0", lambda v: v >= 0.0, default=EXPERIMENT_BETA)
-    omega_start: float = _key("must be > 0", lambda v: v > 0.0, default=1.0)
-    omega_end: float = _key("must be > 0", lambda v: v > 0.0, default=2.0)
+    omega_start: float = _key(f"must lie in (0, {MAX_GAP:g}]", lambda v: 0.0 < v <= MAX_GAP,
+                              default=1.0)
+    omega_end: float = _key(f"must lie in (0, {MAX_GAP:g}]", lambda v: 0.0 < v <= MAX_GAP,
+                            default=2.0)
     runs: int = _key("must be >= 1", lambda v: v >= 1, default=EXPERIMENT_RUNS)
     resamples: int = _key("must be >= 2", lambda v: v >= 2, default=200)
     seed: int = _key("must be a 64-bit unsigned integer", lambda v: 0 <= v < 2**64, default=0)
@@ -186,6 +188,9 @@ def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
     if config.command == "certify" and config.beta != EXPERIMENT_BETA:
         message = f"certify compares against points measured at beta = {EXPERIMENT_BETA}"
         _fail("beta", f"{message}, got {config.beta}", lines.get("beta"))
+    if config.command == "temperature-profile" and config.kind != COHERENT:
+        _fail("kind", "temperature-profile computes the coherent correction only, "
+              f"got {config.kind!r}", lines.get("kind"))
     if config.spam and config.kind == INCOHERENT:
         _fail("spam", "readout error is modelled for coherent protocols only", lines.get("spam"))
     if config.command == "simulate" and config.format != "csv":

@@ -132,7 +132,8 @@ def read_samples(path: Path) -> WorkSampleSet:
     file raises ``ValueError`` with the path in front of its message: a
     column-name line without ``total_work``, a total that is not a finite
     number or is no run total of the header's protocol, a header value that
-    does not parse or describes no protocol, a header that lacks a key,
+    does not parse or describes no protocol (a gap above ``MAX_GAP``, or
+    readout-error rates on an incoherent ramp), a header that lacks a key,
     repeats one or has one of ``spam_bright`` and ``spam_dark`` without the
     other, ``runs`` below 1, a truncated or padded file, whose data rows
     differ in number from the header's ``runs``, and a count vector
@@ -186,7 +187,7 @@ def read_samples(path: Path) -> WorkSampleSet:
                 raise ValueError(f"{key} has {count.size} entries, n_steps={spec.n_steps}")
             if count.min() < 0 or count.max() > runs:
                 raise ValueError(f"{key} has an entry outside [0, runs={runs}]: {header[key]}")
-        table = step_table(spec)  # readout error changes its probabilities, not its grid
+        table = step_table(spec, spam)
         return WorkSampleSet.from_level_sums(table, table.level_sums(totals), **counts,
                                              seed=int(header["seed"]), spec=spec, spam=spam)
     except ValueError as error:

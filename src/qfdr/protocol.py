@@ -44,6 +44,14 @@ KINDS = (COHERENT, INCOHERENT)
 # (-sigma_z/2 -> +sigma_y/2).
 COHERENT_NORM_DH = 1.0 / math.sqrt(2.0)
 
+# Largest incoherent gap, in units of the initial gap.  At G = MAX_GAP every
+# number a command writes is finite for any N, runs and beta <= BETA_CAP: the
+# steps do work +-delta/2 with N |delta| = |omega_end - omega_start| < G, so
+# totals, <W> and dF lie within G/2 of 0, a variance is at most G^2/2, |Q| <=
+# BETA_CAP G^2/4 + G, and N |Q| / |dH| <= N (BETA_CAP G/2 + 2) as |dH| = N |delta|/2.
+# Far above it delta^2 overflows (past about 1.3e154), and Var(W) and Q read inf.
+MAX_GAP = 1e3
+
 PROB_ATOL = 1e-12
 
 # Philox advances its counter in blocks of four 64-bit words and one double
@@ -73,10 +81,6 @@ class SpamModel:
             if not 0.0 <= value < 0.5:
                 raise ValueError(f"{name} must lie in [0, 0.5), got {value}")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.p_bright_given_0 == 0.0 and self.p_dark_given_1 == 0.0
-
 
 @dataclass(frozen=True)
 class ProtocolSpec:
@@ -99,8 +103,9 @@ class ProtocolSpec:
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
         if self.kind == INCOHERENT:
-            if not (0.0 < self.omega_start < math.inf and 0.0 < self.omega_end < math.inf):
-                raise ValueError("incoherent gaps must be finite and positive")
+            if not (0.0 < self.omega_start <= MAX_GAP and 0.0 < self.omega_end <= MAX_GAP):
+                raise ValueError(f"incoherent gaps must be finite and positive, at most "
+                                 f"MAX_GAP = {MAX_GAP:g}, got {self.omega_start}, {self.omega_end}")
 
     @property
     def step_angle(self) -> float:
@@ -267,7 +272,7 @@ def step_table(spec: ProtocolSpec, spam: SpamModel | None = None) -> StepTable:
     finds the excited level occupied at gap omega_j, with the occupations of
     ``ramp_occupations``.
     """
-    if spam is not None and not spam.is_trivial and spec.kind != COHERENT:
+    if spam is not None and spec.kind != COHERENT:
         raise ValueError("SPAM perturbation is supported for coherent protocols only")
     n = spec.n_steps
     if spec.kind == COHERENT:

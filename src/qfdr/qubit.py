@@ -24,15 +24,12 @@ def flip_probability(theta: float) -> float:
 
 
 def population_to_beta(population: float) -> float:
-    """Invert the thermal occupation: beta = 2 * artanh(1 - 2p).
-
-    Only populations strictly inside (0, 1/2) map to a finite positive beta;
-    p = 0 corresponds to beta = inf and p >= 1/2 to a non-positive beta.
-    """
-    if not 0.0 < population < 0.5:
-        raise ValueError(
-            f"population {population} outside (0, 0.5): beta would be infinite or non-positive"
-        )
+    """Invert the thermal occupation, beta = 2 artanh(1 - 2p), clamped to [0, ``BETA_CAP``]:
+    p <= 0 reads as the cap (the zero-temperature limit) and p >= 1/2 as beta = 0."""
+    if population <= 0.0:
+        return BETA_CAP
+    if population >= 0.5:
+        return 0.0
     return 2.0 * math.atanh(1.0 - 2.0 * population)
 
 

@@ -21,7 +21,7 @@ from .protocol import (
     run_distribution,
     step_table,
 )
-from .qubit import BETA_CAP, ThermalSpec, flip_probability, population_to_beta
+from .qubit import ThermalSpec, flip_probability, population_to_beta
 
 # excess bin-frequency spread at which drift_scan flags a drift
 DRIFT_THRESHOLD = 0.01
@@ -47,14 +47,6 @@ def beta_error(p_hat: float, trials: int) -> float:
     if not 0.0 < p_hat < 0.5:
         raise ValueError(f"p_hat must lie in (0, 0.5), got {p_hat}")
     return binomial_error(p_hat, trials) / (p_hat * (1.0 - p_hat))
-
-
-def _beta_from_frequency(p_hat: float) -> float:
-    if p_hat <= 0.0:
-        return BETA_CAP
-    if p_hat >= 0.5:
-        return 0.0
-    return population_to_beta(p_hat)
 
 
 @dataclass(frozen=True)
@@ -85,7 +77,7 @@ def _fit_histogram(
     # a single run deviates by exactly 0, so dividing by 1 gives variance 0
     variance = (counts[..., None, :] @ squares[..., :, None])[..., 0, 0] / np.maximum(runs - 1, 1)
     if spec.kind == COHERENT:
-        beta = np.vectorize(_beta_from_frequency, otypes=[float])(excited / (spec.n_steps * runs))
+        beta = np.vectorize(population_to_beta, otypes=[float])(excited / (spec.n_steps * runs))
         delta_f = 0.0
     else:
         beta = spec.thermal.beta

@@ -17,7 +17,7 @@ from qfdr.cli import load_config, main
 from qfdr.config import (COMMANDS, FORMATS, MAX_SIMULATE_STEPS, ConfigError, RunConfig,
                          build_config, parse_document)
 from qfdr.io import format_value, read_csv_table, read_samples, render_csv
-from qfdr.protocol import COHERENT, KINDS, ProtocolSpec, SpamModel
+from qfdr.protocol import COHERENT, KINDS, MAX_GAP, ProtocolSpec, SpamModel
 from qfdr.reference import EXPERIMENT_BETA, EXPERIMENT_READOUT_ERROR, load_reference_points
 from qfdr.stats import bootstrap_q, estimate_from_samples
 from qfdr.qubit import ThermalSpec, flip_probability
@@ -146,6 +146,7 @@ class TestConfigSources:
     def test_sources_agree_on_valid_values(self, command, values):
         assume(not (values.get("spam") and values.get("kind") == "incoherent"))
         assume(not (command == "simulate" and values.get("format") == "json"))
+        assume(not (command == "temperature-profile" and values.get("kind") == "incoherent"))
         steps = values.get("n_steps", [])
         assume(not (command == "simulate" and len(set(steps)) < len(steps)))
         document = "".join(f"{key} = {_text(value)}\n" for key, value in values.items())
@@ -553,6 +554,34 @@ class TestExitCodes:
         assert main(["simulate", "--n-steps", "2,2", "--runs", "100", "--output", str(out)]) == 2
         assert "n_steps" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, key", [
+        (["analytic", "--kind", "incoherent", "--n-steps", "3", "--omega-end", "1e300",
+          "--beta", "1"], "omega_end"),
+        (["simulate", "--kind", "incoherent", "--n-steps", "3", "--omega-end", "1e300",
+          "--beta", "1", "--runs", "200", "--resamples", "10"], "omega_end"),
+        (["analytic", "--kind", "incoherent", "--omega-start", "1e300"], "omega_start"),
+        (["temperature-profile", "--kind", "incoherent"], "kind"),
+    ], ids=["analytic-gap-1e300", "simulate-gap-1e300", "analytic-start-1e300",
+            "incoherent-profile"])
+    def test_unmodelled_input_is_2(self, tmp_path, capsys, argv, key):
+        """A gap above ``MAX_GAP`` would square towards overflow (at 1e300
+        ``analytic`` wrote var_work=inf), and ``temperature-profile`` has
+        only the coherent correction: each is refused by its key, and no
+        file is written."""
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
+        assert not list(tmp_path.iterdir())
+
+    def test_gap_bound_is_accepted(self, tmp_path):
+        out = tmp_path / "analytic.csv"
+        argv = ["analytic", "--kind", "incoherent", "--omega-start", str(MAX_GAP),
+                "--omega-end", "1e-300", "--beta", "1000", "--n-steps", "1,1000"]
+        assert main([*argv, "--output", str(out)]) == 0
+        _, rows = read_csv_table(out)
+        assert all(math.isfinite(float(value)) for row in rows for key, value in row.items()
+                   if key != "kind")
 
     def test_simulate_step_cap_is_accepted(self):
         config = build_config(overrides={"command": "simulate", "n_steps": [MAX_SIMULATE_STEPS]})

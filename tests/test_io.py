@@ -361,17 +361,23 @@ class TestSamplesFileFormat:
             (_repeat_header("beta", "0.5"), "header repeats beta$"),
         ]),
         (DESCENDING_N3, _set_total("0"), "total 0.0 at row 48 is not a run total$"),
+        (DESCENDING_N3, lambda lines: ["# spam_bright=0.2", "# spam_dark=0.3", *lines],
+         "SPAM perturbation is supported for coherent protocols only$"),
+        (DESCENDING_N3, _set_header("omega_end", "1e300"),
+         r"incoherent gaps must be finite and positive, at most MAX_GAP = 1000, got 3.0, 1e\+300$"),
     ], ids=["truncated", "padded", "short-first-excited", "long-flips", "no-total-column",
             "n-steps-word", "seed-fraction", "runs-word", "beta-word", "unknown-kind",
             "count-word", "total-word", "negative-count", "count-above-runs", "nan-total",
             "inf-total", "minus-inf-total", "runs-zero", "total-0.5", "total-2.5", "total-1e6",
-            "total-one-ulp-above-1", "repeated-beta", "descending-total-0"])
+            "total-one-ulp-above-1", "repeated-beta", "descending-total-0",
+            "incoherent-spam", "gap-above-bound"])
     def test_inconsistent_file_rejected(self, tmp_path, spec, edit, message):
         """The header's counts are over all the runs it names, so a file whose
         rows or count vectors disagree with it would bias the estimate, as
         would a total that no run of its protocol can produce (even one ulp
-        off a grid total) or a header key set twice, of which no copy may
-        win; and every malformed file is rejected with its path named once,
+        off a grid total), a header key set twice, of which no copy may win,
+        or readout-error rates on an incoherent protocol, which has no such
+        model; and every malformed file is rejected with its path named once,
         in front."""
         path = tmp_path / "samples.csv"
         self._write_plain(path, spec=spec)

@@ -20,6 +20,7 @@ from qfdr.protocol import (
     COHERENT,
     COHERENT_NORM_DH,
     INCOHERENT,
+    MAX_GAP,
     PROB_ATOL,
     ProtocolSpec,
     SpamModel,
@@ -61,7 +62,8 @@ class TestProtocolSpec:
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             ProtocolSpec(COHERENT, 0, EXPERIMENT)
-        for gaps in ((-1.0, 2.0), (math.nan, 2.0), (1.0, math.nan), (1.0, math.inf), (math.inf, 2.0)):
+        for gaps in ((-1.0, 2.0), (math.nan, 2.0), (1.0, math.nan), (1.0, math.inf), (math.inf, 2.0),
+                     (1.0, math.nextafter(MAX_GAP, math.inf)), (1e300, 1.0), (1.0, 1e300)):
             with pytest.raises(ValueError, match="finite and positive"):
                 ProtocolSpec(INCOHERENT, 3, EXPERIMENT, *gaps)
         with pytest.raises(ValueError):
@@ -749,4 +751,5 @@ class TestStepTable:
         spec = ProtocolSpec(INCOHERENT, 3, EXPERIMENT, 1.0, 2.0)
         with pytest.raises(ValueError):
             step_table(spec, SpamModel(0.004, 0.004))
-        assert step_table(spec, SpamModel(0.0, 0.0)).probs.shape == (3, 2, 2)
+        with pytest.raises(ValueError):
+            step_table(spec, SpamModel(0.0, 0.0))

@@ -74,10 +74,12 @@ class TestPopulationToBeta:
         eps = 1e-9
         np.testing.assert_allclose(population_to_beta(0.5 - eps), 4.0 * eps, rtol=1e-6)
 
-    @pytest.mark.parametrize("population", [0.0, 0.5, 0.7, -0.1])
-    def test_out_of_domain(self, population):
-        with pytest.raises(ValueError):
-            population_to_beta(population)
+    @pytest.mark.parametrize("population, beta", [(0.0, BETA_CAP), (-0.1, BETA_CAP),
+                                                  (0.5, 0.0), (0.7, 0.0)])
+    def test_out_of_domain(self, population, beta):
+        """Outside (0, 1/2) the inverse is clamped: no excited readout reads as
+        the capped zero-temperature limit, half or more as infinite temperature."""
+        assert population_to_beta(population) == beta
 
     def test_round_trip_with_gibbs_state(self):
         for p in (1e-6, 0.032, 0.2, 0.4999):

@@ -3,7 +3,8 @@ no unused import, no unreferenced module-level name, no defaulted parameter
 that no call passes, a package ``__init__`` that imports nothing and binds
 only ``__version__``, no definition that neither a command nor a listed
 outside entry point reaches, no private name read across modules, one Rabi
-law (``math.sin`` in ``qubit.py`` alone), no stream key given as a list, and
+law (``math.sin`` in ``qubit.py`` alone), one thermometer (``BETA_CAP`` and
+``math.atanh`` in ``qubit.py`` alone), no stream key given as a list, and
 the names and parameters that the benchmark's tracer looks up; and, run in
 fresh interpreters, every module importable alone and no command loading a
 module it does not use.  Public names count as used when the package, its
@@ -130,6 +131,21 @@ def test_rabi_law_lives_in_qubit_alone():
                if getattr(node, "module", None) == "math" and bound == "sin"}
     assert callers == {"qubit.py"} and not imports, \
         f"math.sin called in {sorted(callers)}, imported bare in {sorted(imports)}"
+
+
+def test_thermometer_lives_in_qubit_alone():
+    """``BETA_CAP`` and ``math.atanh`` are read in ``qubit.py`` alone: the occupation's
+    inverse, ``population_to_beta``, clamps at the cap itself, so every refit of beta
+    (``simulate``'s estimate and the bootstrap) takes one thermometer, and a change
+    of the cap or of the clamp is one edit."""
+    readers = {name for name, tree in SOURCES.items() for node in ast.walk(tree)
+               if (isinstance(node, ast.Name) and node.id == "BETA_CAP")
+               or (isinstance(node, ast.Attribute) and node.attr == "atanh"
+                   and getattr(node.value, "id", None) == "math")}
+    imports = {name for name, tree in SOURCES.items() for bound, node in imported(tree)
+               if bound in ("BETA_CAP", "atanh")}
+    assert readers == {"qubit.py"} and not imports, \
+        f"BETA_CAP or math.atanh read in {sorted(readers)}, imported in {sorted(imports)}"
 
 
 def test_every_stream_key_is_an_exact_integer():
