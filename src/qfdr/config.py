@@ -6,7 +6,10 @@ opens a comment at the start of a line or after whitespace, so a value such
 as ``out#1.csv`` keeps its '#'.
 Command-line flags override file keys one for one.  Unknown keys and
 out-of-range values are rejected with the offending key (and line, for file
-input) named in the error.  ``simulate`` takes at most ``MAX_SIMULATE_STEPS``
+input) named in the error.  Each command reads only its own keys
+(``COMMAND_KEYS``) and refuses any other key that is set, so one document
+configures one command, and a document shared across commands is refused.
+``simulate`` takes at most ``MAX_SIMULATE_STEPS``
 steps: its bootstrap builds the exact (W, K) law, (N(L-1)+1)(N+1) float64
 cells, in O(N^3) time.  A coherent N = 1000 took 9 s at a 98 MB peak RSS on
 a 2-core Xeon (incoherent: 3 s, 67 MB); N = 100000 would need 149 GiB.
@@ -31,6 +34,21 @@ FORMATS = ("csv", "json")
 
 DEFAULT_BETAS = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 MAX_SIMULATE_STEPS = 1000
+# the incoherent closed form holds two float64 arrays of N entries, 16 bytes
+# per step: 16 MB at the bound (the coherent closed forms are O(1) in N)
+MAX_INCOHERENT_STEPS = 10**6
+
+# The keys each command reads besides command and output: the gaps for incoherent
+# specs only, readout error for coherent ones only, and its rates by simulate with spam.
+COMMAND_KEYS = {
+    "simulate": {"kind", "n_steps", "beta", "omega_start", "omega_end", "runs", "resamples",
+                 "seed", "workers", "spam", "spam_bright", "spam_dark"},
+    "analytic": {"kind", "n_steps", "beta", "omega_start", "omega_end", "format"},
+    "sweep": {"beta", "include_experiment", "format", "spam_bright", "spam_dark"},
+    "certify": {"beta", "threshold", "format", "spam_bright", "spam_dark"},
+    "temperature-profile": {"n_steps", "betas", "format"},
+    "calibrate": {"seed", "target_theta", "shots", "format"},
+}
 
 
 def _key(requirement: str, check, flag_help: str | None = None, **default):
@@ -185,20 +203,26 @@ def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
         value = getattr(config, key.name)
         if "check" in key.metadata and not key.metadata["check"](value):
             _fail(key.name, f"{key.metadata['requirement']}, got {value!r}", lines.get(key.name))
+    read = COMMAND_KEYS[config.command] | {"output"}
+    if config.kind == COHERENT:
+        read -= {"omega_start", "omega_end"}
+    elif "kind" in read:
+        read -= {"spam", "spam_bright", "spam_dark"}
+    if config.command == "simulate" and not config.spam:
+        read -= {"spam_bright", "spam_dark"}
+    unread = [key for key in _FIELDS if key in lines and key not in read | {"command"}]
+    if unread:
+        reads = ", ".join(key for key in _FIELDS if key in read)
+        _fail(unread[0], f"{config.command} does not read it here, only {reads}", lines[unread[0]])
     if config.command == "certify" and config.beta != EXPERIMENT_BETA:
         message = f"certify compares against points measured at beta = {EXPERIMENT_BETA}"
         _fail("beta", f"{message}, got {config.beta}", lines.get("beta"))
-    if config.command == "temperature-profile" and config.kind != COHERENT:
-        _fail("kind", "temperature-profile computes the coherent correction only, "
-              f"got {config.kind!r}", lines.get("kind"))
-    if config.spam and config.kind == INCOHERENT:
-        _fail("spam", "readout error is modelled for coherent protocols only", lines.get("spam"))
-    if config.command == "simulate" and config.format != "csv":
-        _fail("format", f"simulate writes CSV samples files only, got {config.format!r}",
-              lines.get("format"))
     if config.command == "simulate" and len(set(config.n_steps)) < len(config.n_steps):
         _fail("n_steps", f"simulate writes one file per step count, got {config.n_steps}",
               lines.get("n_steps"))
     if config.command == "simulate" and max(config.n_steps) > MAX_SIMULATE_STEPS:
         _fail("n_steps", f"simulate takes at most {MAX_SIMULATE_STEPS} steps, got {config.n_steps}",
               lines.get("n_steps"))
+    if config.kind == INCOHERENT and max(config.n_steps) > MAX_INCOHERENT_STEPS:
+        _fail("n_steps", f"incoherent ramps take at most {MAX_INCOHERENT_STEPS} steps, "
+              f"got {config.n_steps}", lines.get("n_steps"))

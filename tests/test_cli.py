@@ -14,16 +14,16 @@ from numpy.random import Generator, Philox
 from qfdr import cli
 from qfdr.analytics import incoherent_region_sweep, quantum_correction, spam_bound_curve
 from qfdr.cli import load_config, main
-from qfdr.config import (COMMANDS, FORMATS, MAX_SIMULATE_STEPS, ConfigError, RunConfig,
-                         build_config, parse_document)
+from qfdr.config import (COMMAND_KEYS, COMMANDS, FORMATS, MAX_INCOHERENT_STEPS,
+                         MAX_SIMULATE_STEPS, ConfigError, RunConfig, build_config,
+                         parse_document)
 from qfdr.io import format_value, read_csv_table, read_samples, render_csv
 from qfdr.protocol import COHERENT, KINDS, MAX_GAP, ProtocolSpec, SpamModel
 from qfdr.reference import EXPERIMENT_BETA, EXPERIMENT_READOUT_ERROR, load_reference_points
 from qfdr.stats import bootstrap_q, estimate_from_samples
 from qfdr.qubit import ThermalSpec, flip_probability
 
-# a valid value for every key but command; certify is left out of the
-# commands because it accepts only the measured beta
+# a valid value for every key but command
 VALID_VALUES = {
     "kind": st.sampled_from(KINDS),
     "n_steps": st.lists(st.integers(1, 500), min_size=1, max_size=4),
@@ -45,6 +45,27 @@ VALID_VALUES = {
     "output": st.sampled_from(["", "out.csv", "runs/a b.json"]),
     "format": st.sampled_from(FORMATS),
 }
+
+
+@st.composite
+def read_settings(draw):
+    """A command and valid values of keys it reads: the gaps with an
+    incoherent kind only, readout error with a coherent one only, and the
+    rates with spam only where spam is a key.  certify's beta is left out,
+    since certify accepts only the measured one."""
+    command = draw(st.sampled_from(COMMANDS))
+    keys = COMMAND_KEYS[command] - ({"beta"} if command == "certify" else set()) | {"output"}
+    values = {}
+    if "kind" in keys:
+        values["kind"] = draw(st.sampled_from(KINDS))
+        coherent = values["kind"] == COHERENT
+        keys -= {"omega_start", "omega_end"} if coherent else {"spam", "spam_bright", "spam_dark"}
+    if "spam" in keys:
+        values["spam"] = draw(st.booleans())
+        if not values["spam"]:
+            keys -= {"spam_bright", "spam_dark"}
+    optional = {key: VALID_VALUES[key] for key in sorted(keys - values.keys())}
+    return command, values | draw(st.fixed_dictionaries({}, optional=optional))
 
 
 def _text(value) -> str:
@@ -85,13 +106,13 @@ class TestParseDocument:
 
 
     def test_hash_opens_a_comment_only_at_line_start_or_after_whitespace(self, tmp_path):
-        text = "command = analytic\nruns = 10 # ten\n  # indented\noutput = out#1.csv\n"
+        text = "command = analytic\nn_steps = 10 # ten\n  # indented\noutput = out#1.csv\n"
         values = parse_document(text)
-        assert values["runs"] == ("10", 2)
+        assert values["n_steps"] == ("10", 2)
         assert values["output"] == ("out#1.csv", 4)
         config = tmp_path / "run.cfg"
-        config.write_text(f"command = analytic\nruns = 10\t# ten\noutput = {tmp_path}/out#1.csv\n")
-        assert load_config(["--config", str(config)]).runs == 10
+        config.write_text(f"command = analytic\nn_steps = 10\t# ten\noutput = {tmp_path}/out#1.csv\n")
+        assert load_config(["--config", str(config)]).n_steps == [10]
         assert main(["--config", str(config)]) == 0
         assert (tmp_path / "out#1.csv").is_file() and not (tmp_path / "out").exists()
 
@@ -138,15 +159,10 @@ class TestBuildConfig:
 class TestConfigSources:
     """A document, flags and typed library overrides take one conversion."""
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(
-        command=st.sampled_from([c for c in COMMANDS if c != "certify"]),
-        values=st.fixed_dictionaries({}, optional=VALID_VALUES),
-    )
-    def test_sources_agree_on_valid_values(self, command, values):
-        assume(not (values.get("spam") and values.get("kind") == "incoherent"))
-        assume(not (command == "simulate" and values.get("format") == "json"))
-        assume(not (command == "temperature-profile" and values.get("kind") == "incoherent"))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(drawn=read_settings())
+    def test_sources_agree_on_valid_values(self, drawn):
+        command, values = drawn
         steps = values.get("n_steps", [])
         assume(not (command == "simulate" and len(set(steps)) < len(steps)))
         document = "".join(f"{key} = {_text(value)}\n" for key, value in values.items())
@@ -600,6 +616,29 @@ class TestExitCodes:
         assert "n_steps" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("n_steps", [str(MAX_INCOHERENT_STEPS + 1), "2,100000000000000000000"])
+    def test_incoherent_above_step_bound_is_2(self, tmp_path, capsys, n_steps):
+        """An incoherent ramp holds 16 bytes of per-step arrays per step (at
+        N = 1e20 ``analytic`` exited 1 with numpy's size error), so a step
+        count above the bound is refused by name and no file is written."""
+        out = tmp_path / "analytic.csv"
+        argv = ["analytic", "--kind", "incoherent", "--n-steps", n_steps, "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("configuration error: n_steps: ")
+        assert not list(tmp_path.iterdir())
+
+    def test_incoherent_step_bound_is_accepted(self, tmp_path):
+        """The bound admits N = MAX_INCOHERENT_STEPS, and the coherent closed
+        forms, O(1) in N, stay unbounded."""
+        for kind, n_steps in (("incoherent", f"1,{MAX_INCOHERENT_STEPS}"),
+                              ("coherent", "100000000000000000000")):
+            out = tmp_path / f"{kind}.csv"
+            assert main(["analytic", "--kind", kind, "--n-steps", n_steps, "--output", str(out)]) == 0
+            _, rows = read_csv_table(out)
+            assert [int(row["n_steps"]) for row in rows] == [int(n) for n in n_steps.split(",")]
+            assert all(math.isfinite(float(value)) for row in rows for key, value in row.items()
+                       if key != "kind")
+
     @pytest.mark.parametrize("theta, shots", [("0", "1"), ("0.05", "10")])
     def test_calibration_without_a_slope_is_2(self, tmp_path, capsys, theta, shots):
         """Bright counts that stay flat across the window fit no line, so the
@@ -648,3 +687,68 @@ class TestExitCodes:
         monkeypatch.setenv("QFDR_OUTPUT_DIR", str(tmp_path))
         assert main(["analytic", "--n-steps", "2"]) == 0
         assert (tmp_path / "analytic.csv").exists()
+
+
+# an accepted value off its default for every key but command and output
+ALTERNATIVES = {
+    "kind": "incoherent", "n_steps": "3", "beta": "1", "omega_start": "0.5", "omega_end": "3",
+    "runs": "60", "resamples": "3", "seed": "5", "workers": "2", "spam": True,
+    "spam_bright": "0.01", "spam_dark": "0.02", "threshold": "20", "include_experiment": False,
+    "betas": "0,1", "target_theta": "1", "shots": "100", "format": "json",
+}
+CHEAP = {"simulate": ["--runs", "50", "--resamples", "2"]}
+INCOHERENT_ARGV = ["--kind", "incoherent"]
+# keys the table lists but that a command reads only under the flags given
+READ_UNDER = {
+    (command, key): INCOHERENT_ARGV for command in ("simulate", "analytic")
+    for key in ("omega_start", "omega_end")
+} | {("simulate", "spam_bright"): ["--spam"], ("simulate", "spam_dark"): ["--spam"]}
+# the same keys where the flags given leave them unread
+UNREAD_UNDER = {pair: [] for pair in READ_UNDER} | {("simulate", "spam"): INCOHERENT_ARGV}
+# workers must not change a byte (the worker-invariance tests hold it), and
+# certify accepts only the measured beta (test_foreign_beta_rejected_with_exit_2)
+NO_ALTERNATIVE = {("simulate", "workers"), ("certify", "beta")}
+
+READ = [(command, key) for command in COMMANDS for key in sorted(COMMAND_KEYS[command])
+        if (command, key) not in NO_ALTERNATIVE]
+UNREAD = [(command, key) for command in COMMANDS for key in ALTERNATIVES
+          if key not in COMMAND_KEYS[command]] + sorted(UNREAD_UNDER)
+
+
+class TestCommandKeys:
+    """Every key a command reads changes some output byte for some accepted
+    value, and every key it does not read is refused, so no setting is
+    accepted and ignored."""
+
+    @staticmethod
+    def _outcome(tmp_path, capsys, argv):
+        """Exit code, stdout, file bytes and stderr of one run, with its file removed."""
+        out = tmp_path / "out"
+        code = main([*argv, "--output", str(out)])
+        data = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        captured = capsys.readouterr()
+        return code, captured.out, data, captured.err
+
+    @pytest.mark.parametrize("command, key", READ, ids=[f"{c}-{k}" for c, k in READ])
+    def test_read_key_changes_the_output(self, tmp_path, capsys, command, key):
+        argv = [command, *CHEAP.get(command, []), *READ_UNDER.get((command, key), [])]
+        base = self._outcome(tmp_path, capsys, argv)[:3]
+        changed = self._outcome(tmp_path, capsys, [*argv, _flag(key, ALTERNATIVES[key])])[:3]
+        assert base[0] == 0 and changed[0] in (0, 3)
+        assert changed != base
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command, key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+    def test_unread_key_is_2(self, tmp_path, capsys, source, command, key):
+        argv = [*CHEAP.get(command, []), *UNREAD_UNDER.get((command, key), [])]
+        if source == "flag":
+            argv = [command, *argv, _flag(key, ALTERNATIVES[key])]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"command = {command}\n{key} = {_text(ALTERNATIVES[key])}\n")
+            argv = ["--config", str(config), *argv]
+        code, stdout, data, err = self._outcome(tmp_path, capsys, argv)
+        assert (code, stdout, data) == (2, "", None)
+        assert err.startswith(f"configuration error: {key}: {command} does not read it")
+        assert err.endswith(" (line 2)\n") == (source == "file")

@@ -4,7 +4,8 @@ that no call passes, a package ``__init__`` that imports nothing and binds
 only ``__version__``, no definition that neither a command nor a listed
 outside entry point reaches, no private name read across modules, one Rabi
 law (``math.sin`` in ``qubit.py`` alone), one thermometer (``BETA_CAP`` and
-``math.atanh`` in ``qubit.py`` alone), no stream key given as a list, and
+``math.atanh`` in ``qubit.py`` alone), no stream key given as a list, a
+table of command keys that matches what each command's handler reads, and
 the names and parameters that the benchmark's tracer looks up; and, run in
 fresh interpreters, every module importable alone and no command loading a
 module it does not use.  Public names count as used when the package, its
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import qfdr
+from qfdr.config import COMMAND_KEYS, COMMANDS
 
 SOURCES = {path.name: ast.parse(path.read_text()) for path in Path(qfdr.__file__).parent.glob("*.py")}
 ROOT = Path(__file__).resolve().parents[1]
@@ -160,6 +162,33 @@ def test_every_stream_key_is_an_exact_integer():
                 for keyword in node.keywords
                 if keyword.arg == "key" and isinstance(keyword.value, (ast.List, ast.Tuple))]
     assert not displays, f"Philox keys given as a list or tuple display: {displays}"
+
+
+def test_command_keys_are_what_the_handlers_read():
+    """``COMMAND_KEYS`` lists, for each command, the ``config.<key>`` reads of its
+    ``run_<command>`` handler and of the ``cli`` helpers it passes ``config`` to
+    (``_protocol_specs``, ``_spam_model``, ``_write_rows``, ``_output_path``),
+    besides ``command`` and ``output``.  The one extra is ``format`` under
+    ``simulate``: ``_output_path`` reads it for the default file suffix, but
+    ``simulate`` writes CSV samples files only, so the key is not its own."""
+    functions = {node.name: node for node in SOURCES["cli.py"].body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def reads(function):
+        keys = set()
+        for node in ast.walk(functions[function]):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "config":
+                keys.add(node.attr)
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions
+                  and any(getattr(arg, "id", None) == "config" for arg in node.args)):
+                keys |= reads(node.func.id)
+        return keys
+
+    listed = {command: COMMAND_KEYS[command] | {"command", "output"} for command in COMMANDS}
+    listed["simulate"] = listed["simulate"] | {"format"}
+    mismatched = {command: sorted(reads(f"run_{command.replace('-', '_')}") ^ keys)
+                  for command, keys in listed.items()}
+    assert not any(mismatched.values()), f"read by the handler or listed, not both: {mismatched}"
 
 
 def test_package_binds_only_its_version():
